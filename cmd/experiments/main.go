@@ -47,7 +47,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	nodes := flag.Int("nodes", 1500, "sensor node count (paper default 1500)")
 	seed := flag.Int64("seed", 42, "placement and field seed")
 	packet := flag.Int("packet", 48, "maximum packet size in bytes")
@@ -64,7 +64,6 @@ func run() error {
 	progress := flag.Bool("progress", false, "print per-cell sweep completion lines to stderr")
 	hold := flag.Bool("hold", false, "with -serve: keep serving after the suite finishes until GET /quit or interrupt")
 	scale := flag.String("scale", "", "comma-separated node counts (e.g. 10000,100000): instead of the suite, run the X7 scale experiment")
-	shards := flag.String("shards", "1,8", "with -scale: comma-separated simulator shard counts per size")
 	scaleJSON := flag.String("scale-json", "", "with -scale: also write the machine-readable result to this file")
 	mqo := flag.Bool("mqo", false, "instead of the suite, run the X8 multi-query optimization experiment")
 	mqoNs := flag.String("mqo-n", "1,2,4,8,16", "with -mqo: comma-separated concurrent query counts")
@@ -95,6 +94,26 @@ func run() error {
 		}
 	}
 
+	// Profiling wraps whichever mode runs below.
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if werr := writeHeapProfile(*memprofile); err == nil {
+				err = werr
+			}
+		}()
+	}
+
 	cfg := bench.Config{Nodes: *nodes, Seed: *seed, MaxPacket: *packet, Parallel: *parallel, Audit: *audit}
 
 	// Observability: a registry when serving, a progress tracker when
@@ -121,7 +140,7 @@ func run() error {
 		return writeTrace(cfg, *traceFile)
 	}
 	if *scale != "" {
-		return runScale(*scale, *shards, *seed, *scaleJSON, *cpuprofile)
+		return runScale(*scale, *seed, *scaleJSON)
 	}
 	if *mqo {
 		return runMQO(*nodes, *seed, *packet, *mqoNs, *mqoJSON)
@@ -182,18 +201,6 @@ func run() error {
 		active = append(active, e)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
 	// Run everything first (whole experiments fan out on top of the
 	// per-experiment sweep-cell fan-out), then print in declaration
 	// order: stdout stays byte-identical for every -parallel value.
@@ -221,18 +228,6 @@ func run() error {
 	}
 	total := time.Since(start)
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-
 	if *jsonOut {
 		doc := jsonDoc{
 			Nodes: cfg.Nodes, Seed: cfg.Seed, MaxPacket: cfg.MaxPacket,
@@ -248,9 +243,7 @@ func run() error {
 			})
 			doc.TxPackets += tbl.TxPackets
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if err := encodeJSON(os.Stdout, doc); err != nil {
 			return err
 		}
 		if obs != nil && *hold {
@@ -289,50 +282,61 @@ func intList(flagName, s string) ([]int, error) {
 	return out, nil
 }
 
-// runScale executes the X7 scale experiment: the table goes to stdout,
-// per-point progress to stderr, and -scale-json writes the raw artifact.
-func runScale(sizes, shards string, seed int64, jsonPath, cpuprofile string) error {
+// writeHeapProfile writes a heap profile of the live heap to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// encodeJSON writes v to w as indented JSON.
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// writeJSON writes v to path as indented JSON; an empty path writes
+// nothing. The standalone experiments use it for their -*-json artifacts.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := encodeJSON(f, v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// runScale executes the X7 scale experiment; -scale-json writes the raw
+// artifact.
+func runScale(sizes string, seed int64, jsonPath string) error {
 	ns, err := intList("-scale", sizes)
 	if err != nil {
 		return err
 	}
-	sh, err := intList("-shards", shards)
-	if err != nil {
-		return err
-	}
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	res, err := bench.RunScale(bench.ScaleConfig{Sizes: ns, Shards: sh, Seed: seed})
+	res, err := bench.RunScale(bench.ScaleConfig{Sizes: ns, Seed: seed})
 	if err != nil {
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
-// runMQO executes the X8 shared-execution experiment: the table goes to
-// stdout and -mqo-json writes the raw artifact.
+// runMQO executes the X8 shared-execution experiment; -mqo-json writes
+// the raw artifact.
 func runMQO(nodes int, seed int64, packet int, nsList, jsonPath string) error {
 	ns, err := intList("-mqo-n", nsList)
 	if err != nil {
@@ -343,23 +347,11 @@ func runMQO(nodes int, seed int64, packet int, nsList, jsonPath string) error {
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
-// runChurn executes the X10 churn-resilience experiment: the table goes
-// to stdout and -churn-json writes the raw artifact.
+// runChurn executes the X10 churn-resilience experiment; -churn-json
+// writes the raw artifact.
 func runChurn(nodes int, seed int64, packet, parallel int, ratesList string, rounds int, jsonPath string) error {
 	var rates []float64
 	for _, s := range strings.Split(ratesList, ",") {
@@ -380,23 +372,11 @@ func runChurn(nodes int, seed int64, packet, parallel int, ratesList string, rou
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
-// runServeLoad executes the X9 serving experiment: the table goes to
-// stdout and -serve-load-json writes the raw artifact.
+// runServeLoad executes the X9 serving experiment; -serve-load-json
+// writes the raw artifact.
 func runServeLoad(nodes int, seed int64, clients int, seconds float64, jsonPath string) error {
 	res, err := bench.RunServeLoad(bench.ServeConfig{
 		Nodes: nodes, Seed: seed, Clients: clients,
@@ -406,19 +386,7 @@ func runServeLoad(nodes int, seed int64, clients int, seconds float64, jsonPath 
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
 // writeTrace journals one calibrated SENS-Join run, writes it as JSON

@@ -16,9 +16,6 @@ import (
 type ScaleConfig struct {
 	// Sizes lists the node counts to measure (e.g. 10k..1M).
 	Sizes []int
-	// Shards lists the simulator shard counts per size (1 = classic
-	// engine).
-	Shards []int
 	// Seed drives placement and field generation.
 	Seed int64
 	// SetupWorkers parallelizes deployment generation, tree
@@ -28,10 +25,9 @@ type ScaleConfig struct {
 	Fraction float64
 }
 
-// ScalePoint is one measured (size, shards, method) cell.
+// ScalePoint is one measured (size, method) cell.
 type ScalePoint struct {
 	Nodes        int     `json:"nodes"`
-	Shards       int     `json:"shards"`
 	Method       string  `json:"method"`
 	WallSec      float64 `json:"wall_sec"`
 	Events       int64   `json:"events"`
@@ -61,16 +57,12 @@ type ScaleResult struct {
 
 // RunScale measures X7: wall-clock, simulator event throughput, radio
 // bytes per node and peak RSS for both join methods as the deployment
-// grows, at each configured shard count. Timings are wall-clock and
-// machine-dependent, so X7 is deliberately not part of All(): its table
-// is not byte-reproducible, only its protocol observables are (and
-// TestShardCountDeterminism pins those).
+// grows. Timings are wall-clock and machine-dependent, so X7 is
+// deliberately not part of All(): its table is not byte-reproducible,
+// only its protocol observables are.
 func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if len(cfg.Sizes) == 0 {
 		return nil, fmt.Errorf("bench: scale run needs at least one size")
-	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{1}
 	}
 	if cfg.Fraction == 0 {
 		cfg.Fraction = 0.01
@@ -96,44 +88,35 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			Nodes: n, WallSec: time.Since(t0).Seconds(), MaxDepth: tree.MaxDepth,
 		})
 
-		// One calibration per size: the workload cache keys on the
-		// (dep, env) pair, shared by every shard count's runner.
-		src := ""
-		for _, shards := range cfg.Shards {
-			r := core.NewRunnerFromSetup(dep, env, tree, core.SetupConfig{
-				Shards: shards, ShardWorkers: 0, SetupWorkers: cfg.SetupWorkers,
-			})
-			if src == "" {
-				delta, _ := workload.Calibrate(r, workload.Ratio33(), cfg.Fraction)
-				// An aggregate COUNT folds matches inline at the base
-				// station: the result computation stays O(matches)
-				// without materializing rows, which matters at 1M nodes.
-				src = workload.CountQuery(delta)
+		r := core.NewRunnerFromSetup(dep, env, tree, core.SetupConfig{SetupWorkers: cfg.SetupWorkers})
+		delta, _ := workload.Calibrate(r, workload.Ratio33(), cfg.Fraction)
+		// An aggregate COUNT folds matches inline at the base station:
+		// the result computation stays O(matches) without materializing
+		// rows, which matters at 1M nodes.
+		src := workload.CountQuery(delta)
+		for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
+			r.Stats.Reset()
+			steps0 := r.Sim.Steps()
+			t1 := time.Now()
+			out, err := r.Run(src, m, 0)
+			wall := time.Since(t1).Seconds()
+			if err != nil {
+				return nil, fmt.Errorf("bench: scale n=%d %s: %w", n, m.Name(), err)
 			}
-			for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
-				r.Stats.Reset()
-				steps0 := r.Sim.Steps()
-				t1 := time.Now()
-				out, err := r.Run(src, m, 0)
-				wall := time.Since(t1).Seconds()
-				if err != nil {
-					return nil, fmt.Errorf("bench: scale n=%d shards=%d %s: %w", n, shards, m.Name(), err)
-				}
-				events := r.Sim.Steps() - steps0
-				p := ScalePoint{
-					Nodes: n, Shards: shards, Method: m.Name(),
-					WallSec: wall, Events: events,
-					BytesPerNode: float64(r.Stats.TotalTxBytes(m.Phases()...)) / float64(n),
-					ResponseTime: out.ResponseTime,
-					Rows:         len(out.Rows),
-					Complete:     out.Complete,
-					PeakRSSMB:    peakRSSMB(),
-				}
-				if wall > 0 {
-					p.EventsPerSec = float64(events) / wall
-				}
-				res.Points = append(res.Points, p)
+			events := r.Sim.Steps() - steps0
+			p := ScalePoint{
+				Nodes: n, Method: m.Name(),
+				WallSec: wall, Events: events,
+				BytesPerNode: float64(r.Stats.TotalTxBytes(m.Phases()...)) / float64(n),
+				ResponseTime: out.ResponseTime,
+				Rows:         len(out.Rows),
+				Complete:     out.Complete,
+				PeakRSSMB:    peakRSSMB(),
 			}
+			if wall > 0 {
+				p.EventsPerSec = float64(events) / wall
+			}
+			res.Points = append(res.Points, p)
 		}
 	}
 	return res, nil
@@ -144,11 +127,11 @@ func (r *ScaleResult) Table() *Table {
 	t := &Table{
 		ID:     "X7",
 		Title:  "scale: wall-clock, event throughput and memory vs network size",
-		Header: []string{"nodes", "shards", "method", "wall(s)", "events", "events/s", "B/node", "resp(s)", "peakRSS(MB)"},
+		Header: []string{"nodes", "method", "wall(s)", "events", "events/s", "B/node", "resp(s)", "peakRSS(MB)"},
 	}
 	for _, p := range r.Points {
 		t.AddRow(
-			fmtInt(int64(p.Nodes)), fmtInt(int64(p.Shards)), p.Method,
+			fmtInt(int64(p.Nodes)), p.Method,
 			fmt.Sprintf("%.2f", p.WallSec), fmtInt(p.Events),
 			fmt.Sprintf("%.0f", p.EventsPerSec),
 			fmt.Sprintf("%.1f", p.BytesPerNode),

@@ -10,14 +10,9 @@ import (
 // EnableTrace attaches a journal recorder to the runner (idempotent):
 // radio events flow in through the network tracer and protocol spans
 // through Exec.Trace. Returns the recorder for export/audit calls.
-// Tracing composes with the sharded engine: the recorder goes
-// concurrent (region workers emit spans in parallel) and the network
-// buffers radio events per region, flushed at drain; the canonical
-// journal order makes the result byte-identical to a classic run.
 func (r *Runner) EnableTrace() *trace.Recorder {
 	if r.Trace == nil {
 		r.Trace = trace.New()
-		r.Trace.SetConcurrent(r.Sim.Sharded())
 		r.Net.SetTracer(r.Trace.Radio())
 	}
 	return r.Trace

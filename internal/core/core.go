@@ -127,11 +127,9 @@ type Exec struct {
 	repairAt float64
 }
 
-// span appends a protocol event at the acting node's current time —
-// under sharding that is the node's region clock, so spans emitted from
-// parallel region workers carry their true simulated timestamps.
+// span appends a protocol event at the current simulated time.
 func (x *Exec) span(k trace.Kind, node, peer topology.NodeID, phase string, arg int) {
-	at := x.Sim.NodeNow(node)
+	at := x.Sim.Now()
 	x.Trace.Span(at, k, node, peer, phase, arg)
 	x.Metrics.observeSpan(x, at, k, phase)
 }

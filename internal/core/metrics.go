@@ -84,11 +84,9 @@ func NewMetrics(r *metrics.Registry) *CoreMetrics {
 }
 
 // observeSpan mirrors a protocol span event into the live instruments.
-// at is the span's own timestamp (the acting node's clock). Phase
-// durations pair each start with its end inside one execution; the
-// pairing state lives on the Exec, and only the base station emits
-// phase spans, so concurrent runs — and concurrent region workers —
-// never share it.
+// at is the span's own timestamp. Phase durations pair each start with
+// its end inside one execution; the pairing state lives on the Exec, so
+// concurrent runs never share it.
 func (m *CoreMetrics) observeSpan(x *Exec, at float64, k trace.Kind, phase string) {
 	if m == nil {
 		return

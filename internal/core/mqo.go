@@ -371,7 +371,7 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 			continue
 		}
 		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slotA
-		x0.Sim.ScheduleNode(id, id, deadline, func() {
+		x0.Sim.Schedule(deadline, func() {
 			s.forwardJoinAttrValues(x0, p0, o, id, &states[id].sensNode)
 		})
 	}
@@ -380,7 +380,7 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 	filters := make([][]zorder.Key, m)
 	tA := start + float64(tree.MaxDepth+1)*slotA
 	var tEnd float64
-	x0.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tA, func() {
+	x0.Sim.Schedule(tA, func() {
 		x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
 		x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
 		bs := &states[topology.BaseStation]
@@ -409,9 +409,7 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 		slotB := x0.Net.SlotFor(filterBytes + 32)
 		tB := tA + float64(tree.MaxDepth+1)*slotB
 		if x0.Trace.Enabled() || x0.Metrics != nil {
-			// Node-affine to the base station: this runs inside an event
-			// handler, where a sharded engine needs the executing region.
-			x0.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tB, func() {
+			x0.Sim.Schedule(tB, func() {
 				x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFilterDissem, 0)
 				x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
 			})
@@ -422,12 +420,12 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 				continue
 			}
 			deadline := tB + float64(tree.MaxDepth-tree.Depth[id])*slotC
-			x0.Sim.ScheduleNode(topology.BaseStation, id, deadline, func() {
+			x0.Sim.Schedule(deadline, func() {
 				g.forwardGroupTuples(x0, p0, id, &states[id], m)
 			})
 		}
 		tEnd = tB + float64(tree.MaxDepth+1)*slotC
-		x0.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tEnd, func() {
+		x0.Sim.Schedule(tEnd, func() {
 			x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFinalCollect, 0)
 			bsT := &states[topology.BaseStation]
 			dedup := 0

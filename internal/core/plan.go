@@ -103,12 +103,6 @@ func buildPlan(x *Exec) (*plan, error) {
 		shippedByFlags: make(map[uint64][]string),
 		rawTupleBytes:  relation.TupleBytes(len(dimNames)),
 	}
-	if grid != nil {
-		// Build the quadtree codec up front: under the sharded simulator
-		// region workers reach it concurrently, so the lazy init in
-		// codec() must never fire during a run.
-		p.codec()
-	}
 
 	// Attributes any member node may need: shipped plus join attrs.
 	needed := make(map[string]bool)

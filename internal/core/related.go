@@ -67,7 +67,7 @@ func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include fun
 			continue
 		}
 		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slot
-		x.Sim.ScheduleNode(id, id, deadline, func() {
+		x.Sim.Schedule(deadline, func() {
 			tuples := inbox[id]
 			if p.nodes[id] != nil && (include == nil || include(id)) {
 				tuples = append(tuples, p.tuple(id))

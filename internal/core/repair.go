@@ -70,10 +70,8 @@ func (r *Runner) EnableMidRoundRepair() { r.repair = true }
 // AttachChurn wires a churn & mobility injector to this runner's
 // network and, when tracing or metrics are enabled, into the journal and
 // the sensjoin_churn_* instrument family. Call Cover on the returned
-// injector before each execution window. Attaching churn reverts a
-// sharded runner to the classic engine (netsim.NewChurn does), which is
-// what makes same-seed churn runs replay bit-identically at any
-// shard/worker count.
+// injector before each execution window. Same-seed churn runs replay
+// bit-identically.
 func (r *Runner) AttachChurn(cfg netsim.ChurnConfig) *netsim.Churn {
 	ch := netsim.NewChurn(r.Net, cfg)
 	if r.reg != nil {

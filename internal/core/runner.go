@@ -33,17 +33,6 @@ type SetupConfig struct {
 	// for all callers that treat them as read-only, which is everything
 	// in this repository.
 	Private bool
-	// Shards > 1 partitions the simulator into that many spatial regions
-	// executed in parallel under conservative time-window
-	// synchronization (see netsim/shard.go). Results are bit-identical
-	// for any shard count, and tracing and live metrics compose with it
-	// (journals come out byte-identical to a classic run); enabling
-	// reliable transport, the loss model or churn reverts the runner to
-	// the classic engine.
-	Shards int
-	// ShardWorkers bounds the goroutines running one synchronization
-	// window (0 = one per shard, capped by GOMAXPROCS).
-	ShardWorkers int
 	// SetupWorkers parallelizes the setup path — node placement's
 	// neighbor scan, tree construction, per-node plan building — without
 	// changing any output (0/1 = sequential). Only honored for Private
@@ -129,9 +118,9 @@ func NewRunner(cfg SetupConfig) (*Runner, error) {
 }
 
 // NewRunnerFromSetup assembles a runner around already-built setup
-// artifacts — the scale harness generates one deployment and reuses it
-// across shard counts. Only the Radio, Shards, ShardWorkers and
-// SetupWorkers fields of cfg apply.
+// artifacts — the scale harness builds its deployment and tree with the
+// parallel setup path. Only the Radio and SetupWorkers fields of cfg
+// apply.
 func NewRunnerFromSetup(dep *topology.Deployment, env *field.Environment, tree *routing.Tree, cfg SetupConfig) *Runner {
 	radio := cfg.Radio
 	if radio.MaxPacket == 0 {
@@ -140,32 +129,16 @@ func NewRunnerFromSetup(dep *topology.Deployment, env *field.Environment, tree *
 	schema := relation.StandardSchema(dep.Area)
 	sim := netsim.NewSim()
 	coll := stats.NewCollector(dep.N())
-	net := netsim.NewNetwork(sim, dep, radio, coll)
-	r := &Runner{
+	return &Runner{
 		Dep:     dep,
 		Env:     env,
 		Catalog: relation.Catalog{schema.Name: schema},
 		Sim:     sim,
-		Net:     net,
+		Net:     netsim.NewNetwork(sim, dep, radio, coll),
 		Tree:    tree,
 		Stats:   coll,
 		workers: cfg.SetupWorkers,
 	}
-	if cfg.Shards > 1 {
-		// Lookahead: the air time of one empty packet, the minimum
-		// latency of any cross-node interaction.
-		sim.EnableSharding(netsim.PartitionStrips(dep, cfg.Shards), cfg.Shards,
-			radio.AirTime(1, 0), cfg.ShardWorkers)
-		net.BindSharding()
-	}
-	return r
-}
-
-// disableSharding reverts this runner to the classic engine; called by
-// every feature whose hot path is incompatible with parallel regions.
-func (r *Runner) disableSharding() {
-	r.Sim.DisableSharding()
-	r.Net.BindSharding()
 }
 
 // NewRunnerFromDeployment wraps an existing deployment (tests use
@@ -290,7 +263,6 @@ func (r *Runner) RebuildTreeAvoidingFailures() {
 // reliable delivery (ACKs, bounded retransmissions, duplicate
 // suppression; see netsim) and arms scoped recovery in the join methods.
 func (r *Runner) EnableReliableTransport(cfg netsim.ReliableConfig) {
-	r.disableSharding()
 	r.Net.EnableReliable(cfg)
 }
 

@@ -124,9 +124,7 @@ type sensNode struct {
 	childNeedsFull bool
 	// Phase C inbox.
 	finalsIn []finalTuple
-	// Memory accounting, folded into MemoryReport after the run. Keeping
-	// it per node means handlers never touch method-level state, which is
-	// what lets sharded regions run them in parallel.
+	// Memory accounting, folded into MemoryReport after the run.
 	memProxyBytes   int
 	memSubtreeBytes int
 	memFilterBytes  int
@@ -219,7 +217,7 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 			continue
 		}
 		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slotA
-		x.Sim.ScheduleNode(id, id, deadline, func() {
+		x.Sim.Schedule(deadline, func() {
 			s.forwardJoinAttrValues(x, p, o, id, &states[id])
 		})
 	}
@@ -229,7 +227,7 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 	var result *Result
 	var gotTuples []finalTuple
 	tA := start + float64(tree.MaxDepth+1)*slotA
-	x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tA, func() {
+	x.Sim.Schedule(tA, func() {
 		x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
 		x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
 		bs := &states[topology.BaseStation]
@@ -247,19 +245,13 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 			s.sendFilter(x, p, o, topology.BaseStation, bs, msg)
 		}
 
-		// Phase C schedule: after the filter has fully propagated. tB is
-		// computed from tA, the statically known time of this event, not
-		// from the clock — under sharding there is no global "now" inside
-		// a run (the values are identical: the classic engine sets the
-		// clock to exactly tA here).
+		// Phase C schedule: after the filter has fully propagated.
 		slotB := x.Net.SlotFor(filterBytes + 32)
 		tB := tA + float64(tree.MaxDepth+1)*slotB
 		if x.Trace.Enabled() || x.Metrics != nil {
 			// Scheduled first so the phase boundary precedes the deepest
-			// nodes' phase-C transmissions at the same instant. Node-affine
-			// to the base station: this runs inside an event handler, where
-			// a sharded engine needs to know the executing region.
-			x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tB, func() {
+			// nodes' phase-C transmissions at the same instant.
+			x.Sim.Schedule(tB, func() {
 				x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFilterDissem, 0)
 				x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
 			})
@@ -270,12 +262,12 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 				continue
 			}
 			deadline := tB + float64(tree.MaxDepth-tree.Depth[id])*slotC
-			x.Sim.ScheduleNode(topology.BaseStation, id, deadline, func() {
+			x.Sim.Schedule(deadline, func() {
 				s.forwardCompleteTuples(x, p, id, &states[id])
 			})
 		}
 		tEnd := tB + float64(tree.MaxDepth+1)*slotC
-		x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tEnd, func() {
+		x.Sim.Schedule(tEnd, func() {
 			x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFinalCollect, 0)
 			bsT := &states[topology.BaseStation]
 			tuples := append(append([]finalTuple(nil), bsT.fullsIn...), bsT.finalsIn...)

@@ -19,11 +19,6 @@ import (
 // as nodes drift out of and back into radio range (links can only
 // disappear and reappear; no new links form, so neighbor lists, slot
 // schedules and audits keep their meaning).
-//
-// The injector's tick handlers mutate cross-node state (the dead flags
-// and the down-link map), so attaching churn reverts a sharded simulator
-// to the classic engine — which is also what makes "bit-identical at any
-// shard/worker count" hold by construction.
 
 // ChurnEventKind classifies an injector event.
 type ChurnEventKind uint8
@@ -125,11 +120,9 @@ type Churn struct {
 	Deaths, Rejoins, Moves, LinkFlaps, Ticks int
 }
 
-// NewChurn attaches a churn injector to the network. Sharded simulation
-// reverts to the classic engine (see package comment).
+// NewChurn attaches a churn injector to the network.
 func NewChurn(n *Network, cfg ChurnConfig) *Churn {
 	cfg = cfg.withDefaults()
-	n.fallbackFromSharding("churn injection")
 	c := &Churn{
 		cfg:    cfg,
 		net:    n,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"sensjoin/internal/metrics"
 	"sensjoin/internal/topology"
 )
 
@@ -119,51 +118,5 @@ func TestChurnMobilityLinksRecover(t *testing.T) {
 	// can never exceed the static one.
 	if after > before {
 		t.Fatalf("live links grew beyond the static neighbor graph: %d > %d", after, before)
-	}
-}
-
-func TestChurnShardFallbackCountedAndLogged(t *testing.T) {
-	dep := topology.Line(40, 30, 50)
-	sim := NewSim()
-	sim.EnableSharding(PartitionStrips(dep, 4), 4, DefaultRadio().AirTime(1, 0), 2)
-	net := NewNetwork(sim, dep, DefaultRadio(), nil)
-	net.BindSharding()
-	reg := metrics.New()
-	net.SetMetrics(NewNetMetrics(reg))
-	fallback := NewNetMetrics(reg).ShardFallback // registry dedups: same counter
-	if got := fallback.Value(); got != 0 {
-		t.Fatalf("fallback counter starts at %d", got)
-	}
-	NewChurn(net, ChurnConfig{Seed: 1, Rate: 0.01})
-	if sim.Sharded() {
-		t.Fatalf("churn did not revert the sharded engine")
-	}
-	if got := fallback.Value(); got != 1 {
-		t.Fatalf("fallback counter = %d after churn attach, want 1", got)
-	}
-	// Further fallback-triggering features count again (the log line is
-	// deduped, the counter is not) — but only when sharding is active.
-	net.SetTracer(func(TraceEvent) {})
-	if got := fallback.Value(); got != 1 {
-		t.Fatalf("fallback counter = %d after tracer on classic engine, want still 1", got)
-	}
-}
-
-func TestShardFallbackCounterOnBind(t *testing.T) {
-	dep := topology.Line(20, 30, 50)
-	sim := NewSim()
-	net := NewNetwork(sim, dep, DefaultRadio(), nil)
-	reg := metrics.New()
-	net.SetMetrics(NewNetMetrics(reg))
-	net.EnableReliable(ReliableConfig{})
-	// Enabling sharding after the fact: BindSharding must refuse, revert
-	// and count.
-	sim.EnableSharding(PartitionStrips(dep, 2), 2, DefaultRadio().AirTime(1, 0), 1)
-	net.BindSharding()
-	if sim.Sharded() {
-		t.Fatalf("BindSharding kept sharding despite reliable transport")
-	}
-	if got := NewNetMetrics(reg).ShardFallback.Value(); got != 1 {
-		t.Fatalf("fallback counter = %d, want 1", got)
 	}
 }

@@ -39,26 +39,21 @@ type NetMetrics struct {
 	Dup        *metrics.Counter // suppressed duplicate deliveries
 	GiveUp     *metrics.Counter // reliable transfers that exhausted retries
 	InFlight   *metrics.Gauge   // reliable transfers currently in flight
-	// ShardFallback counts reversions from the sharded to the classic
-	// engine because a feature with cross-node mutable hot-path state
-	// (tracing, reliable transport, loss models, churn) was enabled.
-	ShardFallback *metrics.Counter
 }
 
 // NewNetMetrics registers the radio instruments on r. A nil registry
 // yields no-op instruments.
 func NewNetMetrics(r *metrics.Registry) NetMetrics {
 	return NetMetrics{
-		Tx:            r.Counter("sensjoin_netsim_tx_packets_total", "packets transmitted"),
-		Rx:            r.Counter("sensjoin_netsim_rx_packets_total", "packets received"),
-		Drop:          r.Counter("sensjoin_netsim_dropped_total", "messages dropped (link down or receiver dead)"),
-		Lost:          r.Counter("sensjoin_netsim_lost_total", "messages removed by the loss model"),
-		Retx:          r.Counter("sensjoin_netsim_retx_total", "reliable-transport retransmission attempts"),
-		Ack:           r.Counter("sensjoin_netsim_ack_tx_total", "link-layer acknowledgements transmitted"),
-		Dup:           r.Counter("sensjoin_netsim_dup_rx_total", "duplicate deliveries suppressed"),
-		GiveUp:        r.Counter("sensjoin_netsim_giveups_total", "reliable transfers that exhausted retransmissions"),
-		InFlight:      r.Gauge("sensjoin_netsim_reliable_inflight", "reliable transfers in flight"),
-		ShardFallback: r.Counter("sensjoin_netsim_shard_fallback_total", "reversions from the sharded to the classic engine"),
+		Tx:       r.Counter("sensjoin_netsim_tx_packets_total", "packets transmitted"),
+		Rx:       r.Counter("sensjoin_netsim_rx_packets_total", "packets received"),
+		Drop:     r.Counter("sensjoin_netsim_dropped_total", "messages dropped (link down or receiver dead)"),
+		Lost:     r.Counter("sensjoin_netsim_lost_total", "messages removed by the loss model"),
+		Retx:     r.Counter("sensjoin_netsim_retx_total", "reliable-transport retransmission attempts"),
+		Ack:      r.Counter("sensjoin_netsim_ack_tx_total", "link-layer acknowledgements transmitted"),
+		Dup:      r.Counter("sensjoin_netsim_dup_rx_total", "duplicate deliveries suppressed"),
+		GiveUp:   r.Counter("sensjoin_netsim_giveups_total", "reliable transfers that exhausted retransmissions"),
+		InFlight: r.Gauge("sensjoin_netsim_reliable_inflight", "reliable transfers in flight"),
 	}
 }
 

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"log"
 	"math"
 	"math/rand"
 
@@ -111,35 +110,17 @@ type Network struct {
 	// logical message share its MsgID, which is what lets an audit match
 	// each reception, drop or loss back to the transmission that caused
 	// it. The counters are per sender — and the sender is packed into
-	// the id — so id assignment needs no synchronization under sharding
-	// (each node's sends execute on its own region's worker) and the id
-	// sequence is identical for every shard count.
+	// the id — so a node's ids depend only on its own sends, never on how
+	// same-time events at other nodes interleave.
 	msgSeq []int64
 	// free is the delivery freelist: in-flight message state is pooled
 	// so that the send/deliver path performs zero allocations per event
 	// once warm (guarded by TestSendDeliverZeroAllocs).
 	free []*delivery
-	// freeR replaces free under sharded execution: one freelist per
-	// region, so pool objects are acquired by the sender's worker and
-	// released by the receiver's without shared mutable state.
-	freeR [][]*delivery
-	// traceR replaces synchronous tracer calls under sharded execution:
-	// each region's worker appends its radio events lock-free to its own
-	// buffer, flushed through the tracer at drain time (shardDrain). The
-	// canonical journal order in internal/trace makes the flush order
-	// invisible to the recorded journal.
-	traceR [][]TraceEvent
-	// dropR/lostR shadow the Dropped/Lost fields per region during a
-	// sharded run (plain fields would race); folded back at drain.
-	dropR, lostR []int64
 
 	// met holds nil-safe live instruments; the zero value disables them
 	// at the cost of one branch per call site.
 	met NetMetrics
-
-	// fallbackLogged dedups the sharded→classic fallback log line; the
-	// counter still counts every occurrence.
-	fallbackLogged bool
 
 	// Dropped counts unicast messages that could not be delivered
 	// because the link was down or the receiver dead.
@@ -168,37 +149,8 @@ func (n *Network) SetLossRate(rate float64, seed int64) {
 		n.lossRate, n.lossRNG = 0, nil
 		return
 	}
-	// The loss model draws from one RNG stream; fall back to the
-	// classic engine so draws stay ordered and deterministic.
-	n.fallbackFromSharding("the loss model")
 	n.lossRate = rate
 	n.lossRNG = rand.New(rand.NewSource(seed))
-}
-
-// fallbackFromSharding reverts the simulator to the classic single-heap
-// engine. Every feature whose hot path carries cross-node mutable state
-// or a single RNG stream (reliable transport, the loss models, churn)
-// calls it on enable, so the fallback DESIGN.md promises holds
-// regardless of the order features and sharding were configured in.
-// Tracing and live metrics no longer fall back: they buffer or shadow
-// per region and fold at drain. The reversion is never silent: it logs
-// once per network and counts every occurrence in
-// sensjoin_netsim_shard_fallback_total.
-func (n *Network) fallbackFromSharding(feature string) {
-	if n.Sim.Sharded() {
-		n.Sim.DisableSharding()
-		n.BindSharding()
-		n.noteShardFallback(feature)
-	}
-}
-
-// noteShardFallback records one sharded→classic reversion.
-func (n *Network) noteShardFallback(feature string) {
-	n.met.ShardFallback.Inc()
-	if !n.fallbackLogged {
-		n.fallbackLogged = true
-		log.Printf("netsim: %s requires the classic engine; sharded simulation disabled (sensjoin_netsim_shard_fallback_total counts these)", feature)
-	}
 }
 
 type linkKey struct{ a, b NodeID }
@@ -282,77 +234,19 @@ type TraceEvent struct {
 type Tracer func(ev TraceEvent)
 
 // SetTracer installs a radio observer; nil disables tracing. The
-// zero-trace send/deliver path stays allocation-free. Tracing composes
-// with the sharded engine: events are buffered per region during a run
-// and flushed through the tracer at drain time.
+// zero-trace send/deliver path stays allocation-free.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
-// trace records a radio event. `by` is the acting node — the sender on
-// tx/lost/send-side drops, the receiver on rx/delivery drops — whose
-// clock stamps the event and whose region buffers it during a sharded
-// run (the acting node's handler executes on that region's worker, so
-// the append is race-free).
-func (n *Network) trace(event string, by NodeID, m Message, packets int, msgID int64, expect int) {
+// trace records a radio event stamped with the current simulated time.
+func (n *Network) trace(event string, m Message, packets int, msgID int64, expect int) {
 	if n.tracer == nil {
 		return
 	}
-	ev := TraceEvent{
-		Event: event, At: n.Sim.NodeNow(by), MsgID: msgID,
+	n.tracer(TraceEvent{
+		Event: event, At: n.Sim.Now(), MsgID: msgID,
 		Src: m.Src, Dst: m.Dst, Kind: m.Kind, Phase: m.Phase,
 		Bytes: m.Size, Packets: packets, Expect: expect,
-	}
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		reg := sh.regionOf[by]
-		n.traceR[reg] = append(n.traceR[reg], ev)
-		return
-	}
-	n.tracer(ev)
-}
-
-// countDrop and countLost bump the public failure counters, through the
-// per-region shadows while a sharded run is in flight.
-func (n *Network) countDrop(by NodeID) {
-	n.met.Drop.Inc()
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		n.dropR[sh.regionOf[by]]++
-		return
-	}
-	n.Dropped++
-}
-
-func (n *Network) countLost(by NodeID) {
-	n.met.Lost.Inc()
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		n.lostR[sh.regionOf[by]]++
-		return
-	}
-	n.Lost++
-}
-
-// shardDrain folds per-region buffers back into the global view: trace
-// events flush through the tracer in region order (canonical journal
-// ordering makes the flush order invisible) and the shadow failure
-// counters fold into the public fields. The engine calls it
-// single-threaded after every sharded run and on DisableSharding.
-func (n *Network) shardDrain() {
-	for ri := range n.traceR {
-		buf := n.traceR[ri]
-		for i := range buf {
-			if n.tracer != nil {
-				n.tracer(buf[i])
-			}
-			buf[i] = TraceEvent{}
-		}
-		n.traceR[ri] = buf[:0]
-	}
-	for ri := range n.dropR {
-		n.Dropped += int(n.dropR[ri])
-		n.dropR[ri] = 0
-	}
-	for ri := range n.lostR {
-		n.Lost += int(n.lostR[ri])
-		n.lostR[ri] = 0
-	}
+	})
 }
 
 // SetAccountant replaces the transmission observer.
@@ -407,7 +301,7 @@ func (n *Network) Send(m Message) {
 	if n.tracer != nil {
 		msgID = n.nextMsgID(m.Src)
 	}
-	at := n.sendTime(m.Src) + n.Radio.AirTime(packets, m.Size)
+	at := n.Sim.Now() + n.Radio.AirTime(packets, m.Size)
 	if m.Dst == BroadcastID {
 		if n.tracer != nil {
 			expect := 0
@@ -416,7 +310,7 @@ func (n *Network) Send(m Message) {
 					expect++
 				}
 			}
-			n.trace("tx", m.Src, m, packets, msgID, expect)
+			n.trace("tx", m, packets, msgID, expect)
 		}
 		if n.lossRNG == nil && len(n.down) == 0 {
 			// Fast path: every v comes from the sender's neighbor list, no
@@ -436,82 +330,31 @@ func (n *Network) Send(m Message) {
 				continue
 			}
 			if n.lostOn(m.Src, v, packets) {
-				n.countLost(m.Src)
+				n.Lost++
+				n.met.Lost.Inc()
 				mm := m
 				mm.Dst = v
-				n.trace("lost", m.Src, mm, packets, msgID, 0)
+				n.trace("lost", mm, packets, msgID, 0)
 				continue
 			}
 			n.deliver(m, v, packets, at, msgID)
 		}
 		return
 	}
-	n.trace("tx", m.Src, m, packets, msgID, 1)
+	n.trace("tx", m, packets, msgID, 1)
 	if !n.LinkOK(m.Src, m.Dst) {
-		n.countDrop(m.Src)
-		n.trace("drop", m.Src, m, packets, msgID, 0)
+		n.Dropped++
+		n.met.Drop.Inc()
+		n.trace("drop", m, packets, msgID, 0)
 		return
 	}
 	if n.lostOn(m.Src, m.Dst, packets) {
-		n.countLost(m.Src)
-		n.trace("lost", m.Src, m, packets, msgID, 0)
+		n.Lost++
+		n.met.Lost.Inc()
+		n.trace("lost", m, packets, msgID, 0)
 		return
 	}
 	n.deliver(m, m.Dst, packets, at, msgID)
-}
-
-// sendTime returns the sender's current clock: its region clock during a
-// sharded run (written only by the region's own worker), the global
-// clock otherwise.
-func (n *Network) sendTime(src NodeID) Time {
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		return sh.regions[sh.regionOf[src]].now
-	}
-	return n.Sim.now
-}
-
-// BindSharding sizes the per-region state (delivery freelists, trace
-// buffers, shadow counters) for the simulator's current sharding — or
-// reverts to the shared state when sharding is off — and installs the
-// network's drain hook. It refuses configurations whose hot path
-// carries cross-node mutable state; core.Runner guarantees those
-// features disable sharding first.
-func (n *Network) BindSharding() {
-	sh := n.Sim.sh
-	if sh == nil {
-		n.freeR = nil
-		n.traceR = nil
-		n.dropR, n.lostR = nil, nil
-		return
-	}
-	if n.reliable || n.lossRNG != nil || n.linkLoss != nil {
-		// A feature with cross-node mutable hot-path state is already on:
-		// fall back to the classic engine deterministically instead of
-		// refusing — the promise is that fallback works regardless of the
-		// order features and sharding were enabled in.
-		n.Sim.DisableSharding()
-		n.freeR = nil
-		n.noteShardFallback(shardBlocker(n))
-		return
-	}
-	n.freeR = make([][]*delivery, len(sh.regions))
-	n.traceR = make([][]TraceEvent, len(sh.regions))
-	n.dropR = make([]int64, len(sh.regions))
-	n.lostR = make([]int64, len(sh.regions))
-	sh.drain = n.shardDrain
-}
-
-// shardBlocker names the already-enabled feature that keeps the network
-// on the classic engine, for the fallback log line.
-func shardBlocker(n *Network) string {
-	switch {
-	case n.reliable:
-		return "reliable transport"
-	case n.lossRNG != nil:
-		return "the loss model"
-	default:
-		return "per-link loss"
-	}
 }
 
 // delivery is pooled in-flight message state. Binding run to the
@@ -525,15 +368,11 @@ type delivery struct {
 	run     func()
 }
 
-func (n *Network) getDelivery(src NodeID) *delivery {
-	free := &n.free
-	if n.freeR != nil {
-		free = &n.freeR[n.Sim.sh.regionOf[src]]
-	}
-	if k := len(*free); k > 0 {
-		d := (*free)[k-1]
-		(*free)[k-1] = nil
-		*free = (*free)[:k-1]
+func (n *Network) getDelivery() *delivery {
+	if k := len(n.free); k > 0 {
+		d := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
 		return d
 	}
 	d := &delivery{n: n}
@@ -547,37 +386,31 @@ func (n *Network) getDelivery(src NodeID) *delivery {
 func (d *delivery) deliver() {
 	n, m, packets, msgID := d.n, d.m, d.packets, d.msgID
 	d.m = Message{} // release the payload reference
-	if n.freeR != nil {
-		// Sharded: this runs on the receiver's worker, so the object goes
-		// to the receiver's region pool.
-		reg := n.Sim.sh.regionOf[m.Dst]
-		n.freeR[reg] = append(n.freeR[reg], d)
-	} else {
-		n.free = append(n.free, d)
-	}
+	n.free = append(n.free, d)
 	to := m.Dst
 	if n.dead[to] {
-		n.countDrop(to)
-		n.trace("drop", to, m, packets, msgID, 0)
+		n.Dropped++
+		n.met.Drop.Inc()
+		n.trace("drop", m, packets, msgID, 0)
 		return
 	}
 	if n.acct != nil {
 		n.acct.OnRx(to, m.Phase, packets, m.Size)
 	}
 	n.met.Rx.Add(int64(packets))
-	n.trace("rx", to, m, packets, msgID, 0)
+	n.trace("rx", m, packets, msgID, 0)
 	if h := n.handlers[to]; h != nil {
 		h(m)
 	}
 }
 
 func (n *Network) deliver(m Message, to NodeID, packets int, at Time, msgID int64) {
-	d := n.getDelivery(m.Src)
+	d := n.getDelivery()
 	d.m = m
 	d.m.Dst = to
 	d.packets = packets
 	d.msgID = msgID
-	n.Sim.ScheduleNode(m.Src, to, at, d.run)
+	n.Sim.Schedule(at, d.run)
 }
 
 // N returns the node count including the base station.

@@ -79,11 +79,8 @@ type ReliabilityAccountant interface {
 	OnAck(node NodeID, phase string, packets, bytes int)
 }
 
-// EnableReliable switches every unicast to reliable transport. The ARQ
-// state machine mutates per-link maps from delivery handlers, so enabling
-// it reverts a sharded simulator to the classic engine.
+// EnableReliable switches every unicast to reliable transport.
 func (n *Network) EnableReliable(cfg ReliableConfig) {
-	n.fallbackFromSharding("reliable transport")
 	n.reliable = true
 	n.rcfg = cfg.withDefaults()
 }
@@ -130,9 +127,6 @@ func (n *Network) SetLinkLossRate(a, b NodeID, rate float64) {
 		delete(n.linkLoss, l)
 		return
 	}
-	// Per-link RNG draws mutate shared state from delivery handlers;
-	// revert a sharded simulator to the classic engine.
-	n.fallbackFromSharding("per-link loss")
 	if n.linkLoss == nil {
 		n.linkLoss = make(map[Link]*linkLossState)
 	}

@@ -80,8 +80,7 @@ func (h *eventHeap) pop() event {
 
 // Sim is the event loop: a priority queue of timestamped callbacks.
 // Events at equal times run in scheduling order, so runs are
-// deterministic. With EnableSharding the single heap is replaced by
-// per-region heaps executed in parallel windows (see shard.go).
+// deterministic.
 type Sim struct {
 	now    Time
 	heap   eventHeap
@@ -89,7 +88,6 @@ type Sim struct {
 	steps  int64
 	halted bool
 	met    SimMetrics
-	sh     *shardEngine
 }
 
 // simMetricsSample batches event-counter updates and queue-gauge samples
@@ -102,49 +100,17 @@ func NewSim() *Sim { return &Sim{} }
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// NodeNow returns node id's current clock: its region clock during a
-// sharded run (written only by the region's own worker, so reading it
-// from that worker is race-free), the global clock otherwise. Event
-// handlers that need the acting node's time must use it — the global
-// clock does not advance while a sharded run is in flight.
-func (s *Sim) NodeNow(id NodeID) Time {
-	if sh := s.sh; sh != nil && sh.running.Load() {
-		return sh.regions[sh.regionOf[id]].now
-	}
-	return s.now
-}
-
 // Steps returns the number of events executed so far.
 func (s *Sim) Steps() int64 { return s.steps }
 
 // Schedule runs fn at absolute time t. Scheduling in the past panics:
-// it would silently reorder causality. Under sharding, events without a
-// node affinity may only be scheduled from coordinator context (outside
-// Run); event handlers must use ScheduleNode so the engine knows which
-// region's heap and clock apply.
+// it would silently reorder causality.
 func (s *Sim) Schedule(t Time, fn func()) {
-	if s.sh != nil {
-		s.scheduleSharded(t, fn)
-		return
-	}
 	if t < s.now {
 		panic(fmt.Sprintf("netsim: scheduling event at %.6f before now %.6f", t, s.now))
 	}
 	s.seq++
 	s.heap.push(event{t: t, seq: s.seq, fn: fn})
-}
-
-// scheduleSharded routes a plain Schedule to the base station's region.
-func (s *Sim) scheduleSharded(t Time, fn func()) {
-	if s.sh.running.Load() {
-		panic("netsim: plain Schedule from an event handler during a sharded run; use ScheduleNode")
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("netsim: scheduling event at %.6f before now %.6f", t, s.now))
-	}
-	r := &s.sh.regions[s.sh.regionOf[0]]
-	r.seq++
-	r.heap.push(event{t: t, seq: r.seq, fn: fn})
 }
 
 // After runs fn d seconds from now.
@@ -153,10 +119,6 @@ func (s *Sim) After(d Time, fn func()) { s.Schedule(s.now+d, fn) }
 // Run executes events until the queue is empty or Halt is called.
 func (s *Sim) Run() {
 	s.halted = false
-	if s.sh != nil {
-		s.runSharded(inf())
-		return
-	}
 	if s.met.Events == nil {
 		// Untraced hot loop: no metrics bookkeeping per event.
 		for len(s.heap) > 0 && !s.halted {
@@ -186,10 +148,6 @@ func (s *Sim) Run() {
 // RunUntil executes events with time <= t, then sets the clock to t.
 func (s *Sim) RunUntil(t Time) {
 	s.halted = false
-	if s.sh != nil {
-		s.runSharded(t)
-		return
-	}
 	if s.met.Events == nil {
 		for len(s.heap) > 0 && !s.halted && s.heap[0].t <= t {
 			e := s.heap.pop()
@@ -225,13 +183,4 @@ func (s *Sim) RunUntil(t Time) {
 func (s *Sim) Halt() { s.halted = true }
 
 // Pending reports how many events are queued.
-func (s *Sim) Pending() int {
-	if s.sh != nil {
-		n := 0
-		for i := range s.sh.regions {
-			n += len(s.sh.regions[i].heap) + len(s.sh.regions[i].inbox)
-		}
-		return n
-	}
-	return len(s.heap)
-}
+func (s *Sim) Pending() int { return len(s.heap) }

@@ -309,6 +309,7 @@ func (s *Server) runRoundBounded(qg *core.QueryGroup, r *core.Runner, t float64)
 		results []*core.Result
 		err     error
 	}
+	deadline := time.Now().Add(s.cfg.QueryTimeout)
 	done := make(chan roundResult, 1)
 	go func() {
 		results, err := qg.RunRound(r, t)
@@ -318,6 +319,9 @@ func (s *Server) runRoundBounded(qg *core.QueryGroup, r *core.Runner, t float64)
 	defer timer.Stop()
 	select {
 	case out := <-done:
+		if time.Now().After(deadline) {
+			return nil, nil, true
+		}
 		return out.results, out.err, false
 	case <-timer.C:
 		return nil, nil, true

@@ -758,12 +758,15 @@ func (s *Server) runIndependent(ss *session, q proto.Query, pl *pool,
 // expiry the execution goroutine cannot be killed — it is abandoned
 // together with its runner, and the caller must not return r to the
 // pool; what the deadline reclaims is the execution slot and the
-// client's query.
+// client's query. An epoch that finishes past its deadline also counts
+// as timed out, so the verdict does not depend on which of the two
+// ready channels select happens to pick.
 func (s *Server) runBounded(r *core.Runner, prep *core.Prepared, m core.Method, t float64) (*core.Result, error, bool) {
 	type epochResult struct {
 		res *core.Result
 		err error
 	}
+	deadline := time.Now().Add(s.cfg.QueryTimeout)
 	done := make(chan epochResult, 1) // buffered: an abandoned epoch still exits
 	go func() {
 		res, err := r.RunPrepared(prep, m, t)
@@ -773,6 +776,9 @@ func (s *Server) runBounded(r *core.Runner, prep *core.Prepared, m core.Method, 
 	defer timer.Stop()
 	select {
 	case out := <-done:
+		if time.Now().After(deadline) {
+			return nil, nil, true
+		}
 		return out.res, out.err, false
 	case <-timer.C:
 		return nil, nil, true

@@ -37,14 +37,10 @@ func (c *Counter) Add(packets, bytes int) {
 // retx/ack counters break the reliability overhead out of the totals,
 // they never add to them.
 //
-// Concurrency: all state is strictly per node. Charges to one node only
-// ever touch that node's maps, which is what lets the sharded simulator
-// charge nodes from parallel region workers — OnTx runs on the sender's
-// worker, OnRx on the receiver's — without locks. There is deliberately
-// no collector-global mutable state (Phases derives the label set from
-// the per-node maps on demand). Per-node maps are also allocated lazily
-// on first charge: at million-node scale, eager allocation of four maps
-// per node is most of the collector's footprint.
+// All state is per node (Phases derives the label set from the per-node
+// maps on demand). Per-node maps are allocated lazily on first charge:
+// at million-node scale, eager allocation of four maps per node is most
+// of the collector's footprint.
 type Collector struct {
 	n    int
 	tx   []map[string]*Counter

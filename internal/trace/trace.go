@@ -22,7 +22,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
 
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
@@ -125,13 +124,13 @@ func (k Kind) Radio() bool { return k <= KindLost }
 // kind-specific (the suppressed tuple's owner for KindSuppress, -1
 // otherwise).
 type Event struct {
-	Seq   int              `json:"seq"`
-	At    float64          `json:"at"`
-	Kind  Kind             `json:"-"`
-	Node  topology.NodeID  `json:"node"`
-	Peer  topology.NodeID  `json:"peer"`
-	MsgID int64            `json:"msg,omitempty"`
-	Phase string           `json:"phase,omitempty"`
+	Seq   int             `json:"seq"`
+	At    float64         `json:"at"`
+	Kind  Kind            `json:"-"`
+	Node  topology.NodeID `json:"node"`
+	Peer  topology.NodeID `json:"peer"`
+	MsgID int64           `json:"msg,omitempty"`
+	Phase string          `json:"phase,omitempty"`
 	// Packets, Bytes and Expect are set on radio events only; Expect on
 	// tx events is the number of receivers the medium attempts delivery
 	// to.
@@ -156,18 +155,12 @@ type Event struct {
 }
 
 // Recorder accumulates events. The zero-cost rule: every method is a
-// no-op on a nil *Recorder, so call sites need no guards.
-//
-// A recorder is single-goroutine by default; SetConcurrent(true) makes
-// appends mutex-guarded so the sharded engine's region workers can emit
-// protocol spans in parallel. Worker interleaving cannot leak into the
-// recording: journals are rebuilt in canonical order (see Journal)
-// whenever one is cut.
+// no-op on a nil *Recorder, so call sites need no guards. A recorder is
+// single-goroutine; journals are rebuilt in canonical order (see
+// JournalSince) whenever one is cut.
 type Recorder struct {
-	mu         sync.Mutex
-	concurrent bool
-	tag        string
-	events     []Event
+	tag    string
+	events []Event
 	// sealed is the length of the prefix already in canonical order;
 	// the unsorted tail is ordered (and the prefix extended) whenever a
 	// journal is built.
@@ -182,16 +175,6 @@ func New() *Recorder { return &Recorder{} }
 // simulator events for phase boundaries).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetConcurrent toggles mutex-guarded appends. Turn it on before a run
-// whose engine emits events from multiple goroutines (the sharded
-// simulator), and only while no other recorder method is in flight.
-func (r *Recorder) SetConcurrent(on bool) {
-	if r == nil {
-		return
-	}
-	r.concurrent = on
-}
-
 // SetTag stamps every subsequently appended event's Trace field with
 // tag — the serving path's per-query (or per-group) attribution. An
 // empty tag stops stamping.
@@ -199,20 +182,12 @@ func (r *Recorder) SetTag(tag string) {
 	if r == nil {
 		return
 	}
-	if r.concurrent {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	r.tag = tag
 }
 
 // append stamps the sequence number and the current tag and records the
-// event, under the mutex when the recorder is in concurrent mode.
+// event.
 func (r *Recorder) append(ev Event) {
-	if r.concurrent {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	ev.Seq = len(r.events)
 	if ev.Trace == "" {
 		ev.Trace = r.tag
@@ -306,10 +281,8 @@ func (r *Recorder) Journal() *Journal { return r.JournalSince(0) }
 // Canonical order sorts the buffer's unsealed tail by the full event
 // record — simulated time major, then node, kind and every remaining
 // field — so a journal depends only on the multiset of events, never on
-// emission interleaving. That is what makes sharded-engine journals
-// byte-identical to the classic engine's for any shard count. Sorting
-// only the tail is sound because executions never rewind simulated
-// time past an already-cut journal.
+// emission interleaving. Sorting only the tail is sound because
+// executions never rewind simulated time past an already-cut journal.
 func (r *Recorder) JournalSince(mark int) *Journal {
 	if r == nil {
 		return &Journal{}

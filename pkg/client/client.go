@@ -274,9 +274,11 @@ func (c *Client) Close() error {
 	w.wmu.Lock()
 	proto.WriteFrame(w.conn, proto.KindBye, struct{}{})
 	w.wmu.Unlock()
-	err := w.conn.Close()
+	// Fail the wire before closing the socket: otherwise the read loop
+	// can record the closed socket's read error first, and callers see
+	// that instead of ErrClosedPipe.
 	w.fail(io.ErrClosedPipe)
-	return err
+	return w.conn.Close()
 }
 
 // healthyWire returns the current connection, re-dialing a broken one

@@ -22,15 +22,18 @@ go run ./cmd/experiments -nodes 400 -loss 0.05,0.10 -only L1 -audit > /dev/null
 # Reliable-transport race pass: the ARQ, scoped recovery and the loss
 # sweep under the race detector, beyond the general -race run above.
 go test -race -run 'Reliable|Recovery|StandDown|Loss' ./internal/netsim ./internal/core ./internal/bench
-# Sharded-simulator race pass: window workers, cross-region inboxes,
-# per-region freelists and the parallel setup paths (neighbor grid,
-# BFS tree, plan building) under the race detector.
-go test -race -run 'Shard|Parallel' ./internal/netsim ./internal/bench ./internal/routing ./internal/topology
-# Scale smoke (X7, time-budgeted): a 50k-node run of both join methods
-# on the classic and the sharded engine, plus a reduced-scale run under
-# the race detector. The JSON artifact is what CI uploads.
-go run ./cmd/experiments -scale 50000 -shards 1,4 -scale-json BENCH_scale.json > /dev/null
-go run -race ./cmd/experiments -scale 10000 -shards 4 > /dev/null
+# Golden tables: the default suite's stdout must equal the committed
+# experiments_output.txt once its stderr timing lines are stripped.
+go run ./cmd/experiments 2>/dev/null > /tmp/sensjoin-suite.txt
+grep -vE '^\([A-Z][0-9a-z]* in [0-9.]+s\)$|^total: ' experiments_output.txt | diff - /tmp/sensjoin-suite.txt
+# Parallel-setup race pass: the neighbor grid, BFS tree and plan
+# building under the race detector.
+go test -race -run Parallel ./internal/bench ./internal/routing ./internal/topology
+# Scale smoke (X7, time-budgeted): a 50k-node run of both join methods,
+# plus a reduced-scale run under the race detector. The JSON artifact
+# is what CI uploads.
+go run ./cmd/experiments -scale 50000 -scale-json BENCH_scale.json > /dev/null
+go run -race ./cmd/experiments -scale 10000 > /dev/null
 # MQO smoke (X8, reduced size): N concurrent continuous queries shared
 # vs independent — every per-query table must match its independent
 # counterpart. The JSON artifact is what CI uploads.
@@ -82,10 +85,6 @@ wait $C1; wait $C2; wait $C3
 kill -TERM $SJD_PID
 wait $SJD_PID
 trap - EXIT
-# Sharded-trace determinism: the journal a sharded engine records must
-# be byte-identical to the classic engine's, and six audit passes must
-# stay clean on it; sharded metrics must not fall back to classic.
-go test -run 'TestShardTrace|TestShardMetrics' ./internal/core
 # Flight-recorder & trace-propagation race pass (beyond the general
 # server race run): the bounded ring under concurrent writers/readers,
 # and per-member span attribution through a shared query group.
