@@ -28,6 +28,7 @@ import (
 	"syscall"
 	"time"
 
+	"sensjoin/internal/core"
 	"sensjoin/internal/metrics"
 	"sensjoin/internal/server"
 )
@@ -65,6 +66,8 @@ func main() {
 func run(listen, httpAddr string, cfg server.Config) error {
 	reg := metrics.New()
 	cfg.Registry = reg
+	// Process-wide deployment and snapshot cache counters.
+	core.SetCacheMetrics(reg)
 
 	srv, err := server.Listen(listen, cfg)
 	if err != nil {

@@ -83,7 +83,7 @@ func (r *Runner) AuditRun(src string, m Method, t float64) (*Result, []trace.Vio
 	// filter legitimately misses its keys and suppressing its join
 	// partners is correct. Audit only when every node is alive; lossy
 	// runs stand down inside FilterSoundness itself.
-	if filterPhased(m) && r.allAlive() {
+	if filterPhased(m) && r.Net.AllAlive() {
 		contrib, err := groundTruthContributors(x)
 		if err != nil {
 			return nil, nil, err
@@ -129,16 +129,6 @@ func canonRowOrder(rows []Row) []Row {
 		return len(a) < len(b)
 	})
 	return out
-}
-
-// allAlive reports whether every node in the deployment is live.
-func (r *Runner) allAlive() bool {
-	for i := 0; i < r.Net.N(); i++ {
-		if !r.Net.Alive(topology.NodeID(i)) {
-			return false
-		}
-	}
-	return true
 }
 
 // auditPhases selects the method's phases that follow the leaves-first

@@ -48,12 +48,18 @@ var (
 )
 
 // SetCacheMetrics registers hit/miss counters for the shared deployment
-// cache on reg (nil disables them again).
+// cache, and hit/miss/eviction counters for the snapshot cache
+// (snapshot.go), on reg (nil disables them again).
 func SetCacheMetrics(reg *metrics.Registry) {
 	setupMu.Lock()
 	defer setupMu.Unlock()
 	cacheHits = reg.Counter("sensjoin_core_setup_cache_hits_total", "shared deployment cache hits")
 	cacheMisses = reg.Counter("sensjoin_core_setup_cache_misses_total", "shared deployment cache misses")
+	snapMu.Lock()
+	defer snapMu.Unlock()
+	snapHits = reg.Counter("sensjoin_core_snapshot_cache_hits_total", "readings snapshot cache hits")
+	snapMisses = reg.Counter("sensjoin_core_snapshot_cache_misses_total", "readings snapshot cache misses")
+	snapEvictions = reg.Counter("sensjoin_core_snapshot_cache_evictions_total", "readings snapshots evicted to stay within the byte budget")
 }
 
 // sharedSetupFor returns the cached artifacts for tcfg, generating them
@@ -82,12 +88,13 @@ func sharedSetupFor(tcfg topology.Config) (*sharedSetup, error) {
 	return s, nil
 }
 
-// ResetSetupCache drops all cached deployments. The cache is unbounded
-// by design (an experiment session touches a handful of configs);
-// long-lived embedders that sweep many distinct configurations can
-// release the memory explicitly.
+// ResetSetupCache drops all cached deployments and readings snapshots.
+// The deployment cache is unbounded by design (an experiment session
+// touches a handful of configs); long-lived embedders that sweep many
+// distinct configurations can release the memory explicitly.
 func ResetSetupCache() {
 	setupMu.Lock()
-	defer setupMu.Unlock()
 	setupCache = map[topology.Config]*sharedSetup{}
+	setupMu.Unlock()
+	resetSnapshots()
 }

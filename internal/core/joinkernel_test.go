@@ -78,7 +78,7 @@ func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeI
 		flat := make([]float64, len(ts)*len(slots))
 		for ti, t := range ts {
 			for k, s := range slots {
-				flat[ti*len(slots)+k] = t.vals[s.name]
+				flat[ti*len(slots)+k] = t.value(s.name)
 			}
 		}
 		pre[level] = flat
@@ -155,6 +155,21 @@ func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeI
 	return applyOrderLimit(x.Query, rows), contrib
 }
 
+// value reads attribute name of the tuple's node from its snapshot.
+func (t finalTuple) value(name string) float64 { return t.snap.column(name, 0)[t.node] }
+
+// readingsOf wraps explicit columns (indexed by node id) in a snapshot,
+// for tuples that come from no deployment.
+func readingsOf(cols map[string][]float64) *readings {
+	s := &readings{cols: make(map[string]*column, len(cols))}
+	for name, vals := range cols {
+		c := &column{}
+		c.once.Do(func() { c.vals = vals })
+		s.cols[name] = c
+	}
+	return s
+}
+
 // kernelExec builds an Exec that exercises only the base-station join
 // (no simulator, no catalog).
 func kernelExec(t testing.TB, src string) *Exec {
@@ -174,18 +189,23 @@ func kernelExec(t testing.TB, src string) *Exec {
 // random alias membership and deterministic values.
 func kernelTuples(rng *rand.Rand, count, nAliases int) []finalTuple {
 	attrs := []string{"temp", "hum", "pres", "light", "x", "y", "bucket"}
+	cols := make(map[string][]float64, len(attrs))
+	for _, name := range attrs {
+		cols[name] = make([]float64, count+1) // node ids 1..count
+	}
+	snap := readingsOf(cols)
 	tuples := make([]finalTuple, 0, count)
 	for i := 0; i < count; i++ {
-		vals := make(map[string]float64, len(attrs))
-		vals["temp"] = rng.Float64() * 40
-		vals["hum"] = 30 + rng.Float64()*60
-		vals["pres"] = 990 + rng.Float64()*40
-		vals["light"] = rng.Float64() * 1000
-		vals["x"] = rng.Float64() * 1000
-		vals["y"] = rng.Float64() * 1000
-		vals["bucket"] = math.Floor(vals["temp"])
+		id := i + 1
+		cols["temp"][id] = rng.Float64() * 40
+		cols["hum"][id] = 30 + rng.Float64()*60
+		cols["pres"][id] = 990 + rng.Float64()*40
+		cols["light"][id] = rng.Float64() * 1000
+		cols["x"][id] = rng.Float64() * 1000
+		cols["y"][id] = rng.Float64() * 1000
+		cols["bucket"][id] = math.Floor(cols["temp"][id])
 		flags := uint64(rng.Intn(1<<nAliases-1) + 1)
-		tuples = append(tuples, finalTuple{node: topology.NodeID(i + 1), flags: flags, vals: vals})
+		tuples = append(tuples, finalTuple{node: topology.NodeID(id), flags: flags, snap: snap})
 	}
 	return tuples
 }
@@ -324,17 +344,18 @@ func TestJoinKernelSpecialValues(t *testing.T) {
 	}
 	specials := []float64{0, math.Copysign(0, -1), 1, -1, 2, 1.5,
 		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
-	var tuples []finalTuple
-	id := 1
+	temp := []float64{0} // node ids from 1
 	for _, v := range specials {
-		for alias := 0; alias < 2; alias++ {
-			tuples = append(tuples, finalTuple{
-				node:  topology.NodeID(id),
-				flags: zorder.FlagFor(alias, 2),
-				vals:  map[string]float64{"temp": v},
-			})
-			id++
-		}
+		temp = append(temp, v, v) // one node per alias
+	}
+	snap := readingsOf(map[string][]float64{"temp": temp})
+	var tuples []finalTuple
+	for id := 1; id < len(temp); id++ {
+		tuples = append(tuples, finalTuple{
+			node:  topology.NodeID(id),
+			flags: zorder.FlagFor((id-1)%2, 2),
+			snap:  snap,
+		})
 	}
 	for _, src := range queries {
 		x := kernelExec(t, src)

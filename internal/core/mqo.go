@@ -673,7 +673,7 @@ func (g *QueryGroup) AuditRound(r *Runner, t float64) ([]*Result, []trace.Violat
 		violations = append(violations, trace.Reconcile(j, before, after)...)
 		violations = append(violations, trace.SlotOrder(j, r.Tree, []string{PhaseJACollect, PhaseFinalCollect})...)
 		violations = append(violations, trace.Reliability(j)...)
-		if r.allAlive() {
+		if r.Net.AllAlive() {
 			contrib := make(map[topology.NodeID]bool)
 			for _, gq := range c.members {
 				x, err := r.Exec(gq.q, t)

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"unsafe"
 
 	"sensjoin/internal/quadtree"
 	"sensjoin/internal/query"
@@ -13,15 +13,12 @@ import (
 )
 
 // nodeData is the per-node view of one execution: which aliases the node
-// contributes to, its sensor values, its quantized join-attribute key,
-// and the wire size of its complete (shipped) tuple.
+// contributes to, its quantized join-attribute key, and the wire size of
+// its complete (shipped) tuple. Its readings stay in the plan's snapshot.
 type nodeData struct {
 	// flags has bit zorder.FlagFor(i, nAliases) set when the node
 	// belongs to FROM entry i and passes its local predicates.
 	flags uint64
-	// vals maps attribute names to the sampled values (shipped and
-	// join attributes).
-	vals map[string]float64
 	// key is the quantized join-attribute tuple (valid when flags != 0
 	// and the query has join attributes).
 	key zorder.Key
@@ -32,12 +29,16 @@ type nodeData struct {
 
 // plan is the global, per-execution view shared by the join engines.
 type plan struct {
-	x    *Exec
+	x *Exec
+	// snap holds the sampled readings the plan was derived from.
+	snap *readings
 	grid *zorder.Grid
 	// dims lists the join-attribute dimension names in grid order.
 	dims []string
 	// dimIndex maps a dimension name to its grid index.
 	dimIndex map[string]int
+	// dimCols[i] is the snapshot column of dims[i].
+	dimCols [][]float64
 	// nodes[id] is nil for the base station and for nodes that belong
 	// to no relation.
 	nodes []*nodeData
@@ -52,180 +53,202 @@ type plan struct {
 	qt *quadtree.Codec
 }
 
-// buildPlan samples the snapshot (each sensor read exactly once, §IV-D)
-// and derives every node's flags, key and tuple size.
+// buildPlan derives every node's flags, key and tuple size from the
+// execution's snapshot, in which each sensor is read exactly once
+// (§IV-D). The plan of a prepared query on an intact network depends
+// only on the query, the snapshot and the join-attribute quantization,
+// so it is memoized on the snapshot and every later execution gets a
+// forExec copy. A membership callback or a dead node makes the plan
+// execution-specific; those build afresh from the shared columns.
 func buildPlan(x *Exec) (*plan, error) {
-	n := len(x.Query.From)
-	a := x.Analysis
-
-	// Join-attribute dimensions: the union of join-attribute names over
-	// all FROM entries, quantized per the first schema defining them.
-	var dims []zorder.Dim
-	dimIndex := make(map[string]int)
-	var dimNames []string
-	nameSet := make(map[string]bool)
-	for i := range x.Query.From {
-		for _, name := range a.JoinAttrs[i] {
-			nameSet[name] = true
+	for _, ref := range x.Query.From {
+		if _, err := x.Catalog.Lookup(ref.Relation); err != nil {
+			return nil, err
 		}
 	}
-	for name := range nameSet {
-		dimNames = append(dimNames, name)
+	dimNames, dims, err := planDims(x)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(dimNames)
-	for _, name := range dimNames {
+	snap := snapshotFor(x.Env, x.Dep, x.Time)
+	memo := x.prog != nil && x.Member == nil && len(x.Query.From) <= 8 &&
+		(x.Net == nil || x.Net.AllAlive())
+	if !memo {
+		return newPlan(x, snap, dimNames, dims)
+	}
+	if p := snap.lookupPlan(x.prog, dims); p != nil {
+		return p.forExec(x), nil
+	}
+	p, err := newPlan(x, snap, dimNames, dims)
+	if err != nil {
+		return nil, err
+	}
+	p.freeze()
+	return snap.storePlan(x.prog, dims, p).forExec(x), nil
+}
+
+// planDims derives the join-attribute dimensions: the union of
+// join-attribute names over all FROM entries, in name order, quantized
+// per the first schema defining them.
+func planDims(x *Exec) ([]string, []zorder.Dim, error) {
+	var names []string
+	seen := make(map[string]bool)
+	for i := range x.Query.From {
+		for _, name := range x.Analysis.JoinAttrs[i] {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	sort.Strings(names)
+	dims := make([]zorder.Dim, len(names))
+	for i, name := range names {
 		def, err := findAttrDef(x, name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		d, err := zorder.NewDim(name, def.Min, def.Max, def.Res)
-		if err != nil {
-			return nil, err
+		if dims[i], err = zorder.NewDim(name, def.Min, def.Max, def.Res); err != nil {
+			return nil, nil, err
 		}
-		dimIndex[name] = len(dims)
-		dims = append(dims, d)
 	}
+	return names, dims, nil
+}
+
+// newPlan builds a plan over snap's columns.
+func newPlan(x *Exec, snap *readings, dimNames []string, dims []zorder.Dim) (*plan, error) {
+	n := len(x.Query.From)
+	a := x.Analysis
 	var grid *zorder.Grid
 	if len(dims) > 0 {
 		var err error
-		grid, err = zorder.NewGrid(n, dims)
-		if err != nil {
+		if grid, err = zorder.NewGrid(n, dims); err != nil {
 			return nil, err
 		}
 	}
-
+	total := x.Dep.N()
 	p := &plan{
 		x:              x,
+		snap:           snap,
 		grid:           grid,
 		dims:           dimNames,
-		dimIndex:       dimIndex,
-		nodes:          make([]*nodeData, x.Dep.N()),
+		dimIndex:       make(map[string]int, len(dims)),
+		dimCols:        make([][]float64, len(dims)),
+		nodes:          make([]*nodeData, total),
 		shippedByFlags: make(map[uint64][]string),
 		rawTupleBytes:  relation.TupleBytes(len(dimNames)),
 	}
 
-	// Attributes any member node may need: shipped plus join attrs.
-	needed := make(map[string]bool)
+	// The columns any node may need: shipped, join and local-predicate
+	// attributes.
+	cols := make(map[string][]float64)
+	need := func(name string) []float64 {
+		c, ok := cols[name]
+		if !ok {
+			c = snap.column(name, x.Workers)
+			cols[name] = c
+		}
+		return c
+	}
+	preds := make([]query.BoolExpr, n)
 	for i := range x.Query.From {
 		for _, name := range a.ShippedAttrs[i] {
-			needed[name] = true
+			need(name)
 		}
-	}
-	for _, name := range dimNames {
-		needed[name] = true
-	}
-
-	// fill samples one node; it writes only p.nodes[id] and reports
-	// whether the node is a member. All reads (environment, catalog,
-	// predicates, the pre-warmed shipped cache) are concurrency-safe, so
-	// disjoint id ranges can run in parallel.
-	fill := func(id int) (bool, error) {
-		nid := topology.NodeID(id)
-		if x.Net != nil && !x.Net.Alive(nid) {
-			return false, nil // a dead node contributes no tuple
-		}
-		var flags uint64
-		vals := make(map[string]float64, len(needed))
-		read := func(name string) float64 {
-			v, ok := vals[name]
-			if !ok {
-				v = x.Env.Read(name, x.Dep.Pos[id], x.Time)
-				vals[name] = v
-			}
-			return v
-		}
-		for i, ref := range x.Query.From {
-			if x.Member != nil && !x.Member(nid, ref.Relation) {
-				continue
-			}
-			if _, err := x.Catalog.Lookup(ref.Relation); err != nil {
-				return false, err
-			}
-			pred := a.LocalPredicate(i)
-			if pred != nil {
-				env := query.SingleEnv{Rel: i, Lookup: read}
-				if !pred.Eval(env) {
-					continue
+		if preds[i] = a.LocalPredicate(i); preds[i] != nil {
+			preds[i].VisitNums(func(e query.NumExpr) {
+				if at, ok := e.(query.Attr); ok {
+					need(at.Ref.Name)
 				}
-			}
-			flags |= zorder.FlagFor(i, n)
+			})
 		}
-		if flags == 0 {
-			return false, nil
-		}
-		for name := range needed {
-			read(name)
-		}
-		nd := &nodeData{flags: flags, vals: vals}
-		if grid != nil {
-			joinVals := make([]float64, len(dimNames))
-			for j, name := range dimNames {
-				joinVals[j] = vals[name]
-			}
-			nd.key = grid.Encode(flags, joinVals)
-		}
-		nd.tupleBytes = relation.TupleBytes(len(p.shipped(flags)))
-		p.nodes[id] = nd
-		return true, nil
 	}
-
-	total := x.Dep.N()
-	workers := x.Workers
-	// Membership callbacks are arbitrary user code with no thread-safety
-	// contract, so they force the sequential path.
-	if workers > 1 && total >= 4096 && n <= 8 && x.Member == nil {
-		// Pre-warm the shipped cache for every possible mask: the
-		// parallel workers then only read it.
+	for i, name := range dimNames {
+		p.dimIndex[name] = i
+		p.dimCols[i] = need(name)
+	}
+	// With at most 8 aliases, warm the shipped cache for every mask up
+	// front: parallel fills and shared (memoized) plans then only read
+	// it.
+	if n <= 8 {
 		for mask := uint64(1); mask < uint64(1)<<n; mask++ {
 			p.shipped(mask)
 		}
-		chunk := (total - 1 + workers - 1) / workers
-		counts := make([]int, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := 1 + w*chunk
-			hi := lo + chunk
-			if lo > total {
-				lo = total
-			}
-			if hi > total {
-				hi = total
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				for id := lo; id < hi; id++ {
-					member, err := fill(id)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if member {
-						counts[w]++
-					}
-				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			if errs[w] != nil {
-				return nil, errs[w]
-			}
-			p.members += counts[w]
-		}
-		return p, nil
 	}
-	for id := 1; id < total; id++ {
-		member, err := fill(id)
-		if err != nil {
-			return nil, err
+
+	// fill derives nodes [lo, hi): it writes only their p.nodes entries
+	// and returns the member count. Everything it reads is
+	// concurrency-safe, so disjoint ranges can run in parallel.
+	slab := make([]nodeData, total)
+	fill := func(lo, hi int) int {
+		members := 0
+		var id int
+		read := func(name string) float64 { return cols[name][id] }
+		envs := make([]query.Env, n)
+		for i := range envs {
+			envs[i] = query.SingleEnv{Rel: i, Lookup: read}
 		}
-		if member {
-			p.members++
+		coords := make([]uint32, len(dims))
+		for id = lo; id < hi; id++ {
+			nid := topology.NodeID(id)
+			if x.Net != nil && !x.Net.Alive(nid) {
+				continue // a dead node contributes no tuple
+			}
+			var flags uint64
+			for i, ref := range x.Query.From {
+				if x.Member != nil && !x.Member(nid, ref.Relation) {
+					continue
+				}
+				if preds[i] != nil && !preds[i].Eval(envs[i]) {
+					continue
+				}
+				flags |= zorder.FlagFor(i, n)
+			}
+			if flags == 0 {
+				continue
+			}
+			nd := &slab[id]
+			nd.flags = flags
+			if grid != nil {
+				for j, d := range dims {
+					coords[j] = d.Cell(p.dimCols[j][id])
+				}
+				nd.key = grid.Interleave(flags, coords)
+			}
+			nd.tupleBytes = relation.TupleBytes(len(p.shipped(flags)))
+			p.nodes[id] = nd
+			members++
 		}
+		return members
+	}
+
+	// Membership callbacks are arbitrary user code with no thread-safety
+	// contract, so they force the sequential path.
+	workers := x.Workers
+	if n > 8 || x.Member != nil {
+		workers = 1
+	}
+	counts := make([]int, max(workers, 1))
+	forChunks(1, total, workers, func(w, lo, hi int) { counts[w] = fill(lo, hi) })
+	for _, c := range counts {
+		p.members += c
 	}
 	return p, nil
+}
+
+// freeze readies p for sharing across executions: every flag mask's
+// shipped set and the quadtree codec are built now, so no execution
+// writes the shared plan, and the building execution is dropped.
+func (p *plan) freeze() {
+	if p.grid != nil {
+		p.codec()
+	}
+	p.x = nil
+}
+
+// retainedBytes estimates the memory a memoized plan keeps alive.
+func (p *plan) retainedBytes() int64 {
+	return int64(len(p.nodes)) * int64(unsafe.Sizeof(uintptr(0))+unsafe.Sizeof(nodeData{}))
 }
 
 // findAttrDef locates the quantization of an attribute among the query's
@@ -271,15 +294,16 @@ func (p *plan) shipped(flags uint64) []string {
 // result computation.
 func (p *plan) tuple(id topology.NodeID) finalTuple {
 	nd := p.nodes[id]
-	return finalTuple{node: id, flags: nd.flags, vals: nd.vals, bytes: nd.tupleBytes}
+	return finalTuple{node: id, flags: nd.flags, snap: p.snap, bytes: nd.tupleBytes}
 }
 
 // finalTuple is a complete tuple in flight to the base station. Only
-// bytes is wire-visible; the rest is simulator-side content.
+// bytes is wire-visible; the rest is simulator-side content: the
+// tuple's values are its node's entries in the snapshot columns.
 type finalTuple struct {
 	node  topology.NodeID
 	flags uint64
-	vals  map[string]float64
+	snap  *readings
 	bytes int
 }
 

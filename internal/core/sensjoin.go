@@ -495,13 +495,15 @@ func (s *SENSJoin) forwardCompleteTuples(x *Exec, p *plan, id topology.NodeID, s
 }
 
 // keyOf computes the join-attribute key of a complete tuple (the
-// projection a proxy performs in Fig. 2, line 22).
+// projection a proxy performs in Fig. 2, line 22). Every tuple of an
+// execution comes from its plan's snapshot, so the plan's join-attribute
+// columns hold its values.
 func (p *plan) keyOf(t finalTuple) zorder.Key {
-	vals := make([]float64, len(p.dims))
-	for i, name := range p.dims {
-		vals[i] = t.vals[name]
+	coords := make([]uint32, len(p.dimCols))
+	for i, d := range p.grid.Dims {
+		coords[i] = d.Cell(p.dimCols[i][t.node])
 	}
-	return p.grid.Encode(t.flags, vals)
+	return p.grid.Interleave(t.flags, coords)
 }
 
 // finalComplete checks (with simulator omniscience) that every member

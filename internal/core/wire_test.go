@@ -36,7 +36,7 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.Attrs = append(tc.Attrs, wire.AttrCodec{Min: def.Min, Max: def.Max})
-			vals = append(vals, nd.vals[name])
+			vals = append(vals, p.snap.column(name, 0)[id])
 		}
 		b, err := tc.MarshalBatch([][]float64{vals})
 		if err != nil {

@@ -156,18 +156,20 @@ func (f *Field) At(p geom.Point, t float64) float64 {
 	return v
 }
 
+// wrap folds v into [lo, hi] modulo the width hi-lo. It must be O(1):
+// t comes from clients, and at t = 1e20 subtracting one width at a time
+// never terminates (v-w rounds back to v). Values already inside,
+// hi included, pass through unchanged, as the loop left them.
 func wrap(v, lo, hi float64) float64 {
 	w := hi - lo
-	if w <= 0 {
+	if w <= 0 || (v >= lo && v <= hi) {
 		return v
 	}
-	for v < lo {
-		v += w
+	r := lo + math.Mod(v-lo, w)
+	if r < lo {
+		r += w
 	}
-	for v > hi {
-		v -= w
-	}
-	return v
+	return r
 }
 
 // Environment bundles the fields of one deployment and maps attribute

@@ -2,7 +2,9 @@ package field
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"sensjoin/internal/geom"
 )
@@ -194,6 +196,72 @@ func TestWrap(t *testing.T) {
 	}
 }
 
+// wrapStepping is the original one-width-per-iteration loop, kept as
+// the reference for the O(1) wrap.
+func wrapStepping(v, lo, hi float64) float64 {
+	w := hi - lo
+	if w <= 0 {
+		return v
+	}
+	for v < lo {
+		v += w
+	}
+	for v > hi {
+		v -= w
+	}
+	return v
+}
+
+// Within 8 widths of the area the O(1) wrap agrees with the stepping
+// loop up to the loop's own accumulated rounding (a few ulps of the
+// operands), and bit for bit for a single wrap of an area starting at 0
+// — the only case the experiment suite reaches, which is why its tables
+// did not move.
+func TestWrapMatchesSteppingLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const eps = 0x1p-52
+	for i := 0; i < 200000; i++ {
+		lo := 0.0
+		if i%2 == 1 {
+			lo = (rng.Float64() - 0.5) * 2000
+		}
+		hi := lo + 1 + rng.Float64()*2000
+		w := hi - lo
+		v := lo + (rng.Float64()*17-8)*w
+		got, want := wrap(v, lo, hi), wrapStepping(v, lo, hi)
+		if got < lo || got > hi {
+			t.Fatalf("wrap(%v, %v, %v) = %v outside the area", v, lo, hi, got)
+		}
+		scale := math.Max(math.Abs(v), math.Max(math.Abs(lo), math.Abs(hi)))
+		if math.Abs(got-want) > 16*eps*scale {
+			t.Fatalf("wrap(%v, %v, %v) = %v, stepping loop %v", v, lo, hi, got, want)
+		}
+		if lo == 0 && v > -w && v < 2*w && got != want {
+			t.Fatalf("single wrap of [0, %v]: wrap(%v) = %v, stepping loop %v", hi, v, got, want)
+		}
+	}
+}
+
+// A reading at an absurd time must return: the stepping loop took
+// seconds per call at t = 1e11 and never returned at t = 1e20 (v-w
+// rounds back to v), and any sensjoind client can ask for either.
+func TestReadAtHugeTimeReturns(t *testing.T) {
+	e := StandardEnvironment(testArea(), 3)
+	done := make(chan float64, 1)
+	go func() {
+		var sum float64
+		for _, tm := range []float64{1e11, 1e20, -1e20, math.MaxFloat64} {
+			sum += e.Read("hum", geom.Point{X: 10, Y: 20}, tm)
+		}
+		done <- sum
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Env.Read at t >= 1e11 did not return within 10 s")
+	}
+}
+
 // smoothDirect is the pre-cache formula, kept as the equivalence
 // reference for the per-t bump-term cache.
 func smoothDirect(f *Field, p geom.Point, t float64) float64 {
@@ -240,5 +308,24 @@ func TestSmoothCacheMatchesDirectFormula(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkFieldRead measures one sensor reading: a plain field (temp)
+// and a coupled one (hum reads temp too), over the paper's area.
+func BenchmarkFieldRead(b *testing.B) {
+	e := StandardEnvironment(testArea(), 1042)
+	pts := make([]geom.Point, 1024)
+	for i := range pts {
+		pts[i] = geom.Point{X: 1050 * geom.HashUnit(uint64(i), 1), Y: 1050 * geom.HashUnit(uint64(i), 2)}
+	}
+	for _, name := range []string{"temp", "hum"} {
+		b.Run(name, func(b *testing.B) {
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += e.Read(name, pts[i%len(pts)], 30)
+			}
+			_ = sink
+		})
 	}
 }

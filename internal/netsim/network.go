@@ -95,6 +95,8 @@ type Network struct {
 	acct     Accountant
 	down     map[linkKey]bool
 	dead     []bool
+	// deadCount is the number of set entries in dead.
+	deadCount int
 
 	lossRate float64
 	lossRNG  *rand.Rand
@@ -270,13 +272,26 @@ func (n *Network) LinkOK(a, b NodeID) bool {
 }
 
 // KillNode takes node id offline entirely.
-func (n *Network) KillNode(id NodeID) { n.dead[id] = true }
+func (n *Network) KillNode(id NodeID) {
+	if !n.dead[id] {
+		n.dead[id] = true
+		n.deadCount++
+	}
+}
 
 // ReviveNode brings node id back online.
-func (n *Network) ReviveNode(id NodeID) { n.dead[id] = false }
+func (n *Network) ReviveNode(id NodeID) {
+	if n.dead[id] {
+		n.dead[id] = false
+		n.deadCount--
+	}
+}
 
 // Alive reports whether node id is online.
 func (n *Network) Alive(id NodeID) bool { return !n.dead[id] }
+
+// AllAlive reports whether no node is dead, in O(1).
+func (n *Network) AllAlive() bool { return n.deadCount == 0 }
 
 // Send transmits m. For unicast the receiver must be a live neighbor;
 // otherwise the message is counted as transmitted (the sender cannot know)
