@@ -25,75 +25,108 @@ func (r *Runner) DisableTrace() {
 	r.Net.SetTracer(nil)
 }
 
-// AuditRun executes a query like Run and then audits the execution's
-// journal segment: conservation (every delivery matches a transmission),
-// reconciliation (journal totals equal the stats collector's, bit-exact),
-// slot-schedule ordering (no parent transmits before its children in the
-// collection phases), and — for filter-based methods on loss-free runs —
-// filter soundness (no suppressed tuple contributes to the ground truth).
-// Tracing is enabled on demand. With AutoAudit set, the audited journal
-// segment is truncated afterwards so long soaks stay bounded.
+// AuditRun prepares src, executes it like Run and then audits the
+// execution's journal segment: conservation (every delivery matches a
+// transmission), reconciliation (journal totals equal the stats
+// collector's, bit-exact), slot-schedule ordering (no parent transmits
+// before its children in the collection phases), reliability, churn
+// safety when churn is attached, and — for filter-based methods on
+// loss-free runs — filter soundness (no suppressed tuple contributes to
+// the ground truth). Tracing is enabled on demand. With AutoAudit set,
+// the audited journal segment is truncated afterwards so long soaks
+// stay bounded.
 func (r *Runner) AuditRun(src string, m Method, t float64) (*Result, []trace.Violation, error) {
+	p, err := r.Prepare(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.auditPrepared(p, m, t)
+}
+
+// auditPrepared is AuditRun on a prepared query.
+func (r *Runner) auditPrepared(p *Prepared, m Method, t float64) (*Result, []trace.Violation, error) {
+	var x *Exec
+	var truth, res *Result
+	violations, err := r.audit(auditPhases(m), func() error {
+		var err error
+		if x, err = r.ExecPrepared(p, t); err != nil {
+			return err
+		}
+		// The churn-safety oracle must be computed before the run: churn
+		// may kill members mid-round, and GroundTruth reflects aliveness
+		// at call time — the contract is "exact w.r.t. the snapshot the
+		// round started from".
+		if r.churn != nil {
+			if truth, err = GroundTruth(x); err != nil {
+				return err
+			}
+		}
+		res, err = m.Run(x)
+		return err
+	}, func(j *trace.Journal) ([]trace.Violation, error) {
+		var v []trace.Violation
+		if r.churn != nil {
+			v = trace.ChurnSafety(j, trace.ChurnVerdict{
+				Complete:        res.Complete,
+				OracleExact:     sameRowSet(truth.Rows, res.Rows),
+				Reason:          res.IncompleteReason,
+				MissingSubtrees: len(res.MissingSubtrees),
+				Repairs:         res.Repairs,
+			})
+		}
+		// Filter soundness needs the ground truth to be reachable: a
+		// dead member transmits nothing (silently — no drop/lost
+		// events), so the filter legitimately misses its keys and
+		// suppressing its join partners is correct. Audit only when
+		// every node is alive; lossy runs stand down inside
+		// FilterSoundness itself.
+		if filterPhased(m) && r.Net.AllAlive() {
+			contrib, err := groundTruthContributors(x)
+			if err != nil {
+				return nil, err
+			}
+			v = append(v, trace.FilterSoundness(j, contrib)...)
+		}
+		return v, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, violations, nil
+}
+
+// audit runs one round under the journal and checks its segment with
+// the passes every audited round shares — conservation, reconciliation
+// against the stats collector, slot order and reliability — followed by
+// the caller's own passes (extra). Slot order is checked against the
+// tree captured before the round: mid-round repair swaps r.Tree, but the
+// slot-scheduled phases ran on the tree the round started with
+// (recovery traffic is not slot-audited). With AutoAudit set, the
+// segment is truncated afterwards.
+func (r *Runner) audit(slotPhases []string, run func() error,
+	extra func(*trace.Journal) ([]trace.Violation, error)) ([]trace.Violation, error) {
 	rec := r.EnableTrace()
 	mark := rec.Mark()
 	before := r.Stats.Snapshot()
-
-	x, err := r.ExecSQL(src, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The churn-safety oracle must be computed before the run: churn may
-	// kill members mid-round, and GroundTruth reflects aliveness at call
-	// time — the contract is "exact w.r.t. the snapshot the round
-	// started from". The tree is captured pre-run for the same reason:
-	// mid-round repair swaps r.Tree, but the slot-scheduled phases ran
-	// on the tree the round started with (recovery traffic is not
-	// slot-audited).
-	var truth *Result
 	tree := r.Tree
-	if r.churn != nil {
-		if truth, err = GroundTruth(x); err != nil {
-			return nil, nil, err
-		}
+	if err := run(); err != nil {
+		return nil, err
 	}
-	res, err := m.Run(x)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	after := r.Stats.Snapshot()
 	j := rec.JournalSince(mark)
-
-	var violations []trace.Violation
-	violations = append(violations, trace.Conservation(j)...)
+	violations := trace.Conservation(j)
 	violations = append(violations, trace.Reconcile(j, before, after)...)
-	violations = append(violations, trace.SlotOrder(j, tree, auditPhases(m))...)
+	violations = append(violations, trace.SlotOrder(j, tree, slotPhases)...)
 	violations = append(violations, trace.Reliability(j)...)
-	if r.churn != nil {
-		violations = append(violations, trace.ChurnSafety(j, trace.ChurnVerdict{
-			Complete:        res.Complete,
-			OracleExact:     sameRowSet(truth.Rows, res.Rows),
-			Reason:          res.IncompleteReason,
-			MissingSubtrees: len(res.MissingSubtrees),
-			Repairs:         res.Repairs,
-		})...)
+	more, err := extra(j)
+	if err != nil {
+		return nil, err
 	}
-	// Filter soundness needs the ground truth to be reachable: a dead
-	// member transmits nothing (silently — no drop/lost events), so the
-	// filter legitimately misses its keys and suppressing its join
-	// partners is correct. Audit only when every node is alive; lossy
-	// runs stand down inside FilterSoundness itself.
-	if filterPhased(m) && r.Net.AllAlive() {
-		contrib, err := groundTruthContributors(x)
-		if err != nil {
-			return nil, nil, err
-		}
-		violations = append(violations, trace.FilterSoundness(j, contrib)...)
-	}
+	violations = append(violations, more...)
 	if r.AutoAudit {
 		rec.Truncate(mark)
 	}
-	return res, violations, nil
+	return violations, nil
 }
 
 // sameRowSet compares two results order-insensitively (ORDER BY-less

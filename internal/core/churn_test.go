@@ -16,40 +16,59 @@ import (
 // the round is in flight. With mid-round repair armed the orphaned
 // subtree is re-parented onto a surviving path and its traffic replayed
 // by the recovery wave: the round ends complete and oracle-exact, with
-// the repair visible in the result.
+// the repair visible in the result — whether the query runs from text
+// or from a prepared query.
 func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
-	r := testRunner(t, 150, 73)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
-	r.EnableMidRoundRepair()
-	child, parent := failLink(r)
-	x, err := r.ExecSQL(qBand(0.5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := GroundTruth(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
-	res, err := r.Run(qBand(0.5), NewSENSJoin(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Repairs == 0 {
-		t.Fatal("severed tree edge did not trigger a mid-round repair")
-	}
-	if !res.Complete {
-		t.Fatalf("repair did not restore completeness (reason %q, missing %v)",
-			res.IncompleteReason, res.MissingSubtrees)
-	}
-	if res.RepairLatency <= 0 {
-		t.Fatalf("RepairLatency = %g, want > 0", res.RepairLatency)
-	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "repaired")
-	// The runner follows the swap: the repaired tree no longer routes the
-	// orphan through the severed link.
-	if r.Tree.Parent[child] == parent {
-		t.Fatalf("runner tree still parents %d on %d across the downed link", child, parent)
+	for _, path := range []struct {
+		name string
+		run  func(r *Runner, src string) (*Result, error)
+	}{
+		{"Run", func(r *Runner, src string) (*Result, error) {
+			return r.Run(src, NewSENSJoin(), 0)
+		}},
+		{"RunPrepared", func(r *Runner, src string) (*Result, error) {
+			p, err := r.Prepare(src)
+			if err != nil {
+				return nil, err
+			}
+			return r.RunPrepared(p, NewSENSJoin(), 0)
+		}},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			r := testRunner(t, 150, 73)
+			r.EnableReliableTransport(netsim.ReliableConfig{})
+			r.EnableMidRoundRepair()
+			child, parent := failLink(r)
+			x, err := r.ExecSQL(qBand(0.5), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth, err := GroundTruth(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
+			res, err := path.run(r, qBand(0.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Repairs == 0 {
+				t.Fatal("severed tree edge did not trigger a mid-round repair")
+			}
+			if !res.Complete {
+				t.Fatalf("repair did not restore completeness (reason %q, missing %v)",
+					res.IncompleteReason, res.MissingSubtrees)
+			}
+			if res.RepairLatency <= 0 {
+				t.Fatalf("RepairLatency = %g, want > 0", res.RepairLatency)
+			}
+			sameRows(t, truth.Rows, res.Rows, "truth", "repaired")
+			// The runner follows the swap: the repaired tree no longer
+			// routes the orphan through the severed link.
+			if r.Tree.Parent[child] == parent {
+				t.Fatalf("runner tree still parents %d on %d across the downed link", child, parent)
+			}
+		})
 	}
 }
 

@@ -104,13 +104,11 @@ type Exec struct {
 
 	// Workers parallelizes the per-node setup work of buildPlan without
 	// changing its output (0/1 = sequential). Set from
-	// SetupConfig.SetupWorkers by Runner.Exec.
+	// SetupConfig.SetupWorkers by Runner.ExecPrepared.
 	Workers int
 
-	// prog is the pre-compiled kernel program of a prepared query; nil
-	// makes joinKernel compile on the fly (identical results — the
-	// prepared program is the same computation hoisted out of the
-	// per-execution path).
+	// prog is the prepared query's compiled kernel program; it also keys
+	// the snapshot's plan memo.
 	prog *kernelProg
 
 	// Repair arms mid-round incremental tree repair inside scoped
@@ -120,7 +118,7 @@ type Exec struct {
 	// over the repaired tree instead of giving the subtree up.
 	Repair bool
 	// onTreeSwap propagates a mid-round tree swap to the owning Runner
-	// (set by Runner.Exec); nil-safe.
+	// (set by Runner.ExecPrepared); nil-safe.
 	onTreeSwap func(*routing.Tree)
 	// repairs / repairAt record mid-round repair activity for the Result.
 	repairs  int
@@ -132,29 +130,6 @@ func (x *Exec) span(k trace.Kind, node, peer topology.NodeID, phase string, arg 
 	at := x.Sim.Now()
 	x.Trace.Span(at, k, node, peer, phase, arg)
 	x.Metrics.observeSpan(x, at, k, phase)
-}
-
-// NewExec validates and assembles an execution context.
-func NewExec(sim *netsim.Sim, net *netsim.Network, tree *routing.Tree, coll *stats.Collector,
-	dep *topology.Deployment, env *field.Environment, cat relation.Catalog,
-	q *query.Query, t float64) (*Exec, error) {
-	for _, r := range q.From {
-		if _, err := cat.Lookup(r.Relation); err != nil {
-			return nil, err
-		}
-	}
-	if err := expandStar(q, cat); err != nil {
-		return nil, err
-	}
-	a, err := query.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Exec{
-		Sim: sim, Net: net, Tree: tree, Stats: coll,
-		Dep: dep, Env: env, Catalog: cat,
-		Query: q, Analysis: a, Time: t,
-	}, nil
 }
 
 // Row is one output row of a query result.

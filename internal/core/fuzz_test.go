@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sensjoin/internal/relation"
+	"sensjoin/internal/topology"
 )
 
 // randomQuery generates a random two-relation join from a small grammar:
@@ -109,4 +112,29 @@ func TestFuzzVariantsMatchOracle(t *testing.T) {
 			sameRows(t, truth.Rows, res.Rows, "oracle", m.Name())
 		}
 	}
+}
+
+// FuzzPrepare drives the one entry point every query takes. Prepare
+// must reject bad text with an error, never a panic, and an accepted
+// query must survive a round trip through its rendering: re-preparing
+// its String() yields an equal Fingerprint. The seed corpus lives in
+// testdata/fuzz/FuzzPrepare.
+func FuzzPrepare(f *testing.F) {
+	schema := relation.StandardSchema(topology.ScaledArea(200))
+	cat := relation.Catalog{schema.Name: schema}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Prepare(cat, src)
+		if err != nil {
+			return
+		}
+		text := p.query.String()
+		again, err := Prepare(cat, text)
+		if err != nil {
+			t.Fatalf("re-preparing %q (from %q): %v", text, src, err)
+		}
+		if again.Fingerprint() != p.Fingerprint() {
+			t.Fatalf("fingerprint changed over a round trip of %q:\n  %s\n  %s",
+				src, p.Fingerprint(), again.Fingerprint())
+		}
+	})
 }

@@ -318,12 +318,9 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	n := len(byAlias)
 
 	// The compiled program — slot layout, condition/SELECT/GROUP BY
-	// closures, join shape — depends only on the query, so prepared
-	// executions reuse a cached one; ad-hoc executions compile here.
+	// closures, join shape — depends only on the query, so it comes
+	// from the prepared query.
 	prog := x.prog
-	if prog == nil {
-		prog = compileKernel(x.Query, x.Analysis)
-	}
 	slotsOf := prog.slotsOf
 	compiledConds := prog.compiledConds
 	condRels := prog.condRels

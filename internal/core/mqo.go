@@ -67,8 +67,10 @@ type QueryGroup struct {
 
 // groupQuery is one registered query.
 type groupQuery struct {
-	src     string
-	q       *query.Query
+	src string
+	// prep is the member's prepared query, bound to the catalog of the
+	// runner of its first round (see exec).
+	prep    *Prepared
 	cluster *qgCluster
 	bit     int // index within the cluster (mask bit)
 	idx     int // index within the group (result slot)
@@ -114,7 +116,7 @@ func (g *QueryGroup) Add(src string) (int, error) {
 	if joinAttrs == 0 {
 		return 0, fmt.Errorf("core: query %q has no join attributes; SENS-Join needs join conditions", src)
 	}
-	gq := &groupQuery{src: src, q: q, idx: len(g.queries)}
+	gq := &groupQuery{src: src, idx: len(g.queries)}
 	key := compatKey(q, a)
 	for _, c := range g.clusters {
 		if c.key == key && len(c.members) < maxClusterQueries {
@@ -132,6 +134,19 @@ func (g *QueryGroup) Add(src string) (int, error) {
 	}
 	g.queries = append(g.queries, gq)
 	return gq.idx, nil
+}
+
+// exec assembles gq's execution at time t on r, preparing the query
+// against r's catalog on its first round.
+func (gq *groupQuery) exec(r *Runner, t float64) (*Exec, error) {
+	if gq.prep == nil {
+		p, err := r.Prepare(gq.src)
+		if err != nil {
+			return nil, err
+		}
+		gq.prep = p
+	}
+	return r.ExecPrepared(gq.prep, t)
 }
 
 // compatKey renders everything that shapes the per-node plan: two
@@ -280,7 +295,7 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 
 	execs := make([]*Exec, m)
 	for j, gq := range c.members {
-		x, err := r.Exec(gq.q, t)
+		x, err := gq.exec(r, t)
 		if err != nil {
 			return err
 		}
@@ -644,56 +659,49 @@ func (g *QueryGroup) forwardGroupTuples(x *Exec, p *plan, id topology.NodeID, st
 }
 
 // AuditRound executes one shared epoch under the journal and audits
-// every cluster's segment with the standard passes. Filter soundness is
-// necessarily per cluster: the union filter only suppresses a key no
-// MEMBER of that cluster wants, so suppress decisions are checked
-// against the union of the cluster's own ground-truth contributors — a
-// node another cluster's query needs may be legitimately suppressed
-// here.
+// every cluster's segment with the passes every audited round shares
+// (see Runner.audit). Filter soundness is necessarily per cluster: the
+// union filter only suppresses a key no MEMBER of that cluster wants,
+// so suppress decisions are checked against the union of the cluster's
+// own ground-truth contributors — a node another cluster's query needs
+// may be legitimately suppressed here.
 func (g *QueryGroup) AuditRound(r *Runner, t float64) ([]*Result, []trace.Violation, error) {
 	if len(g.queries) == 0 {
 		return nil, nil, fmt.Errorf("core: empty query group")
 	}
-	rec := r.EnableTrace()
-	outerMark := rec.Mark()
 	if r.Metrics != nil {
 		r.Metrics.MQOGroups.Set(int64(len(g.clusters)))
 	}
 	results := make([]*Result, len(g.queries))
 	var violations []trace.Violation
 	for _, c := range g.clusters {
-		mark := rec.Mark()
-		before := r.Stats.Snapshot()
-		if err := g.runCluster(r, c, t, results); err != nil {
-			return nil, nil, err
-		}
-		after := r.Stats.Snapshot()
-		j := rec.JournalSince(mark)
-		violations = append(violations, trace.Conservation(j)...)
-		violations = append(violations, trace.Reconcile(j, before, after)...)
-		violations = append(violations, trace.SlotOrder(j, r.Tree, []string{PhaseJACollect, PhaseFinalCollect})...)
-		violations = append(violations, trace.Reliability(j)...)
-		if r.Net.AllAlive() {
+		v, err := r.audit(auditPhases(c.sens), func() error {
+			return g.runCluster(r, c, t, results)
+		}, func(j *trace.Journal) ([]trace.Violation, error) {
+			if !r.Net.AllAlive() {
+				return nil, nil
+			}
 			contrib := make(map[topology.NodeID]bool)
 			for _, gq := range c.members {
-				x, err := r.Exec(gq.q, t)
+				x, err := gq.exec(r, t)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				qc, err := groundTruthContributors(x)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				for id := range qc {
 					contrib[id] = true
 				}
 			}
-			violations = append(violations, trace.FilterSoundness(j, contrib)...)
+			return trace.FilterSoundness(j, contrib), nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
+		violations = append(violations, v...)
 	}
 	g.rounds++
-	if r.AutoAudit {
-		rec.Truncate(outerMark)
-	}
 	return results, violations, nil
 }

@@ -218,25 +218,49 @@ func TestQueryGroupSharesTraffic(t *testing.T) {
 		epochs, len(srcs), sharedTx, indepTx, 100*float64(sharedTx)/float64(indepTx))
 }
 
-// AuditRound over a mixed group: all passes clean, per cluster.
+// AuditRound over a mixed group: all passes clean, per cluster. The
+// severed case cuts a loaded tree edge mid-round with repair armed:
+// slot order must be audited against the tree the round started on, not
+// the repaired one.
 func TestQueryGroupAuditClean(t *testing.T) {
-	r := testRunner(t, 150, 311)
-	g := NewQueryGroup(Options{})
-	for _, s := range []string{qTempBand(2), qTempBand(3), qBand(0.4)} {
-		mustAdd(t, g, s)
-	}
-	for round := 0; round < 2; round++ {
-		res, violations, err := g.AuditRound(r, float64(round)*30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(violations) > 0 {
-			t.Fatalf("round %d: %d violation(s), first: %s", round, len(violations), violations[0])
-		}
-		for i, rr := range res {
-			if rr == nil || !rr.Complete {
-				t.Fatalf("round %d query %d incomplete", round, i)
+	for _, tc := range []struct {
+		name    string
+		seed    int64
+		srcs    []string
+		severed bool
+	}{
+		{"mixed", 311, []string{qTempBand(2), qTempBand(3), qBand(0.4)}, false},
+		{"severed", 73, []string{qTempBand(2), qTempBand(3)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testRunner(t, 150, tc.seed)
+			if tc.severed {
+				r.EnableReliableTransport(netsim.ReliableConfig{})
+				r.EnableMidRoundRepair()
+				child, parent := failLink(r)
+				r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
 			}
-		}
+			g := NewQueryGroup(Options{})
+			for _, s := range tc.srcs {
+				mustAdd(t, g, s)
+			}
+			for round := 0; round < 2; round++ {
+				res, violations, err := g.AuditRound(r, float64(round)*30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(violations) > 0 {
+					t.Fatalf("round %d: %d violation(s), first: %s", round, len(violations), violations[0])
+				}
+				for i, rr := range res {
+					if rr == nil || !rr.Complete {
+						t.Fatalf("round %d query %d incomplete", round, i)
+					}
+				}
+				if tc.severed && round == 0 && res[0].Repairs == 0 {
+					t.Fatal("severed tree edge did not trigger a mid-round repair")
+				}
+			}
+		})
 	}
 }

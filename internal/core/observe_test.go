@@ -78,7 +78,8 @@ func TestTracedRunAuditsClean(t *testing.T) {
 
 // Metering is observation, not interference: a metered run counts real
 // traffic and returns the rows, response time and traffic of an
-// unmetered one.
+// unmetered one. Run and RunPrepared, with and without AutoAudit, count
+// each execution exactly once.
 func TestMeteredRunMatchesPlainRun(t *testing.T) {
 	plain := observeRunner(t)
 	want, err := plain.Run(observeSrc, NewSENSJoin(), 0)
@@ -101,5 +102,29 @@ func TestMeteredRunMatchesPlainRun(t *testing.T) {
 	}
 	if tx, _ := reg.Snapshot()["sensjoin_netsim_tx_packets_total"].(int64); tx <= 0 {
 		t.Fatalf("sensjoin_netsim_tx_packets_total = %d, want > 0", tx)
+	}
+
+	runs := func() int64 {
+		n, _ := reg.Snapshot()["sensjoin_core_runs_total"].(int64)
+		return n
+	}
+	p, err := r.Prepare(observeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, audit := range []bool{false, true} {
+		r.AutoAudit = audit
+		for _, run := range []func() (*Result, error){
+			func() (*Result, error) { return r.Run(observeSrc, NewSENSJoin(), 0) },
+			func() (*Result, error) { return r.RunPrepared(p, NewSENSJoin(), 0) },
+		} {
+			before := runs()
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := runs() - before; got != 1 {
+				t.Fatalf("AutoAudit=%t: one execution moved sensjoin_core_runs_total by %d, want 1", audit, got)
+			}
+		}
 	}
 }

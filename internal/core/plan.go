@@ -55,7 +55,7 @@ type plan struct {
 
 // buildPlan derives every node's flags, key and tuple size from the
 // execution's snapshot, in which each sensor is read exactly once
-// (§IV-D). The plan of a prepared query on an intact network depends
+// (§IV-D). The plan of a query on an intact network depends
 // only on the query, the snapshot and the join-attribute quantization,
 // so it is memoized on the snapshot and every later execution gets a
 // forExec copy. A membership callback or a dead node makes the plan
@@ -71,7 +71,7 @@ func buildPlan(x *Exec) (*plan, error) {
 		return nil, err
 	}
 	snap := snapshotFor(x.Env, x.Dep, x.Time)
-	memo := x.prog != nil && x.Member == nil && len(x.Query.From) <= 8 &&
+	memo := x.Member == nil && len(x.Query.From) <= 8 &&
 		(x.Net == nil || x.Net.AllAlive())
 	if !memo {
 		return newPlan(x, snap, dimNames, dims)

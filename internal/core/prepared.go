@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"sensjoin/internal/query"
 	"sensjoin/internal/relation"
 )
@@ -9,10 +11,11 @@ import (
 // — parse, star expansion, Analyze, the join-kernel's expression
 // compilation and shape classification — depends only on the query text
 // and the catalog, not on the snapshot being joined. A Prepared hoists
-// all of it out of the per-execution path so a serving layer can pay it
-// once per distinct query shape and reuse it across every execution and
-// every concurrent session (all cached state is immutable after
-// Prepare).
+// all of it out of the per-execution path, so it is paid once per
+// distinct query shape and reused across every execution and every
+// concurrent session (all cached state is immutable after Prepare).
+// Every execution is built from a Prepared: Run and ExecSQL prepare
+// their text first.
 
 // kernelSlot binds an attribute name of one FROM entry to its dense
 // slot in the kernel's value vector.
@@ -45,8 +48,7 @@ type kernelProg struct {
 // compileKernel lowers the query's expressions once, assigning each
 // distinct (rel, attr) reference a dense slot; enumeration then reads
 // float slots instead of paying a string-map lookup per reference per
-// tuple combination. Pulled out of joinKernel so prepared queries pay
-// it once instead of per execution.
+// tuple combination. Prepare calls it once per query.
 func compileKernel(q *query.Query, a *query.Analysis) *kernelProg {
 	n := len(q.From)
 	p := &kernelProg{slotsOf: make([][]kernelSlot, n)}
@@ -159,32 +161,38 @@ func (p *Prepared) Shareable() bool {
 	return false
 }
 
-// ExecPrepared assembles an execution context from an already prepared
-// query, skipping parse, star expansion, analysis and kernel
-// compilation.
+// ExecPrepared assembles an execution context from a prepared query at
+// time t. It is the only constructor of a runner's executions: every
+// Run, audit, recovery attempt and QueryGroup member goes through it.
 func (r *Runner) ExecPrepared(p *Prepared, t float64) (*Exec, error) {
-	x := &Exec{
+	return &Exec{
 		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
-		Dep: r.Dep, Env: r.Env, Catalog: r.Catalog,
+		Dep: r.Dep, Env: r.Env, Catalog: r.Catalog, Member: r.Member,
 		Query: p.query, Analysis: p.analysis, Time: t,
-		prog: p.prog,
-	}
-	x.Member = r.Member
-	x.Trace = r.Trace
-	x.Metrics = r.Metrics
-	x.Workers = r.workers
-	return x, nil
+		Trace: r.Trace, Metrics: r.Metrics, Workers: r.workers,
+		prog:       p.prog,
+		Repair:     r.repair,
+		onTreeSwap: r.setTree,
+	}, nil
 }
 
-// RunPrepared executes a prepared query like Run. With AutoAudit set it
-// falls back to the audited source path (the audit needs the journal
-// bracketing Run provides).
+// RunPrepared executes a prepared query with the given method at time t.
+// With AutoAudit set, the execution's journal is audited (see AuditRun)
+// and violations become errors.
 func (r *Runner) RunPrepared(p *Prepared, m Method, t float64) (*Result, error) {
-	if r.AutoAudit {
-		return r.Run(p.src, m, t)
-	}
 	if r.Metrics != nil {
 		r.Metrics.Runs.Inc()
+	}
+	if r.AutoAudit {
+		res, violations, err := r.auditPrepared(p, m, t)
+		if err != nil {
+			return nil, err
+		}
+		if len(violations) > 0 {
+			return nil, fmt.Errorf("core: %s audit: %d violation(s), first: %s",
+				m.Name(), len(violations), violations[0])
+		}
+		return res, nil
 	}
 	x, err := r.ExecPrepared(p, t)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sensjoin/internal/field"
 	"sensjoin/internal/metrics"
 	"sensjoin/internal/netsim"
-	"sensjoin/internal/query"
 	"sensjoin/internal/relation"
 	"sensjoin/internal/routing"
 	"sensjoin/internal/stats"
@@ -161,55 +160,29 @@ func NewRunnerFromDeployment(dep *topology.Deployment, radio netsim.RadioConfig,
 	}
 }
 
-// Exec assembles an execution context for a parsed query at time t.
-func (r *Runner) Exec(q *query.Query, t float64) (*Exec, error) {
-	x, err := NewExec(r.Sim, r.Net, r.Tree, r.Stats, r.Dep, r.Env, r.Catalog, q, t)
-	if err != nil {
-		return nil, err
-	}
-	x.Member = r.Member
-	x.Trace = r.Trace
-	x.Metrics = r.Metrics
-	x.Workers = r.workers
-	x.Repair = r.repair
-	x.onTreeSwap = func(t *routing.Tree) {
-		r.Tree = t
-		r.treeDepth.Set(int64(t.MaxDepth))
-	}
-	return x, nil
-}
-
-// ExecSQL parses src and assembles an execution context at time t.
+// ExecSQL prepares src and assembles an execution context at time t.
 func (r *Runner) ExecSQL(src string, t float64) (*Exec, error) {
-	q, err := query.Parse(src)
+	p, err := r.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return r.Exec(q, t)
+	return r.ExecPrepared(p, t)
 }
 
-// Run executes a query with the given method at time t. With AutoAudit
-// set, the execution's journal is audited and violations become errors.
+// Run prepares src and executes it with the given method at time t (see
+// RunPrepared).
 func (r *Runner) Run(src string, m Method, t float64) (*Result, error) {
-	if r.Metrics != nil {
-		r.Metrics.Runs.Inc()
-	}
-	if r.AutoAudit {
-		res, violations, err := r.AuditRun(src, m, t)
-		if err != nil {
-			return nil, err
-		}
-		if len(violations) > 0 {
-			return nil, fmt.Errorf("core: %s audit: %d violation(s), first: %s",
-				m.Name(), len(violations), violations[0])
-		}
-		return res, nil
-	}
-	x, err := r.ExecSQL(src, t)
+	p, err := r.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(x)
+	return r.RunPrepared(p, m, t)
+}
+
+// setTree installs a new routing tree and updates the depth gauge.
+func (r *Runner) setTree(t *routing.Tree) {
+	r.Tree = t
+	r.treeDepth.Set(int64(t.MaxDepth))
 }
 
 // EnableMetrics wires the whole stack of this runner — event loop,
@@ -234,8 +207,7 @@ func (r *Runner) EnableMetrics(reg *metrics.Registry) {
 // equivalent beaconing protocol is in package routing; the experiment
 // harness uses the instant rebuild for determinism.
 func (r *Runner) RebuildTree() {
-	r.Tree = routing.BuildTree(r.Net.LiveNeighbors(), topology.BaseStation)
-	r.treeDepth.Set(int64(r.Tree.MaxDepth))
+	r.setTree(routing.BuildTree(r.Net.LiveNeighbors(), topology.BaseStation))
 }
 
 // RebuildTreeAvoidingFailures re-forms the tree like RebuildTree, but
@@ -254,8 +226,7 @@ func (r *Runner) RebuildTreeAvoidingFailures() {
 		return bad[netsim.Link{From: parent, To: child}] > 0 ||
 			bad[netsim.Link{From: child, To: parent}] > 0
 	}
-	r.Tree = routing.BuildTreeAvoiding(r.Net.LiveNeighbors(), topology.BaseStation, avoid)
-	r.treeDepth.Set(int64(r.Tree.MaxDepth))
+	r.setTree(routing.BuildTreeAvoiding(r.Net.LiveNeighbors(), topology.BaseStation, avoid))
 	r.Net.ClearExhaustedLinks()
 }
 
@@ -270,16 +241,21 @@ func (r *Runner) EnableReliableTransport(cfg netsim.ReliableConfig) {
 // incomplete, repairs the routing tree and re-executes — the paper's
 // error handling (§IV-F: "we rely upon the tree protocol to re-establish
 // the routing structure; afterwards, we simply re-execute the query").
-// All attempts are charged to the collector. It returns the final result
-// and the number of executions; on the give-up path the count is exactly
-// maxAttempts and the result carries MissingSubtrees and
-// IncompleteReason, with no trailing tree rebuild.
+// The query is prepared once for all attempts, and all of them are
+// charged to the collector. It returns the final result and the number
+// of executions; on the give-up path the count is exactly maxAttempts
+// and the result carries MissingSubtrees and IncompleteReason, with no
+// trailing tree rebuild.
 func (r *Runner) RunWithRecovery(src string, m Method, t float64, maxAttempts int) (*Result, int, error) {
 	if maxAttempts <= 0 {
 		maxAttempts = 3
 	}
+	p, err := r.Prepare(src)
+	if err != nil {
+		return nil, 0, err
+	}
 	for attempt := 1; ; attempt++ {
-		res, err := r.Run(src, m, t)
+		res, err := r.RunPrepared(p, m, t)
 		if err != nil {
 			return nil, attempt, err
 		}

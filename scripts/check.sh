@@ -6,6 +6,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: gofmt must list no file.
+test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
 go test -race ./...
@@ -13,6 +15,9 @@ go test -race ./...
 # the indexed and reference paths still run on both band and equi
 # shapes, and plan building runs cold and memoized.
 go test -run=NONE -bench='ExactJoin|BuildPlan' -benchtime=1x ./internal/core
+# Fuzz the one entry point every query takes: Prepare must never panic,
+# and an accepted query's rendering must prepare to the same fingerprint.
+go test -run=NONE -fuzz=FuzzPrepare -fuzztime=20s ./internal/core
 # Snapshot race pass: pooled runners sharing one readings snapshot and
 # its memoized plans, and the byte-bounded cache under distinct t.
 go test -race -run 'Snapshot|PlanMemo|Prepared' ./internal/core ./internal/server

@@ -359,21 +359,21 @@ func (n *Network) ExecuteWithRecovery(src string, m Method, maxAttempts int) (*R
 // advancing the simulated clock (and the sensor fields) by the query's
 // period between rounds.
 func (n *Network) Monitor(src string, m Method, rounds int) ([]*Result, error) {
-	q, err := query.Parse(src)
+	p, err := n.r.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	if q.Mode != query.Periodic {
+	if p.Mode() != query.Periodic {
 		return nil, fmt.Errorf("sensjoin: Monitor needs a SAMPLE PERIOD query, got %q", src)
 	}
 	var out []*Result
 	for i := 0; i < rounds; i++ {
-		res, err := n.r.Run(src, m.m, n.clock)
+		res, err := n.r.RunPrepared(p, m.m, n.clock)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, fromCore(res, 1))
-		n.clock += q.Period
+		n.clock += p.Period()
 	}
 	return out, nil
 }
