@@ -47,6 +47,7 @@ func (External) Run(x *Exec) (*Result, error) {
 		have := tupleIndex(tuples)
 		rounds, missing := runScopedRecovery(x, p, needed, have, nil)
 		finishReliable(x, p, res, have, missing, rounds, start)
+		observeRepair(x, res)
 	} else if !res.Complete {
 		annotateIncomplete(x, missingFrom(needed, tupleIndex(tuples)), res)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"sensjoin/internal/query"
@@ -29,15 +31,18 @@ import (
 // matching == semantics exactly (±0 collide, NaN never matches).
 //
 // Determinism: the nested loop emitted rows in lexicographic order of
-// the per-level tuple indexes. Index probing enumerates in a different
-// order, so each match records its rank — the combination's position in
-// that lexicographic order — and matches are replayed in rank order
-// through the identical emission code (row slab, aggregation,
-// contributing-node set). Output is therefore byte-identical to the
+// the per-level tuple indexes. When the plan probes the levels in FROM
+// order, every position enumerates its candidates in ascending tuple
+// index — scans and hash buckets already are, and a band window's
+// indexes are sorted per probe — so enumeration order is the nested
+// loop's and rows stream straight into the emission code (row slab,
+// aggregation, contributing-node marks). Only a reordered plan differs:
+// each match records its rank — the combination's position in the
+// lexicographic order — and matches are replayed in rank order through
+// the same emission code. Output is therefore byte-identical to the
 // seed's, including the order of floating-point accumulation in
-// SUM/AVG. When the planner keeps the original scan order (no indexable
-// condition, or rank arithmetic would overflow), rows stream directly
-// without the rank buffer, exactly like the seed.
+// SUM/AVG. A reordered plan whose rank arithmetic would overflow falls
+// back to the FROM-order scan.
 
 // accessPath is a join level's candidate enumeration strategy.
 type accessPath int8
@@ -66,7 +71,7 @@ type joinPlanInfo struct {
 	// Paths[i] is the access path of Order[i].
 	Paths []string
 	// Streamed reports whether rows streamed in enumeration order
-	// (pure scan plan) instead of the rank-ordered replay.
+	// (FROM-order plan) instead of the rank-ordered replay.
 	Streamed bool
 }
 
@@ -95,10 +100,11 @@ type levelPlan struct {
 type joinPlan struct {
 	order []levelPlan
 	// strides give each level's rank weight in the original nested-loop
-	// order: rank = Σ tupleIndex[level] * strides[level].
+	// order: rank = Σ tupleIndex[level] * strides[level]. Only reordered
+	// plans carry them.
 	strides []uint64
-	// stream is set when enumeration order equals nested-loop order, so
-	// emission can skip the rank buffer.
+	// stream is set when the plan probes in FROM order, so enumeration
+	// order equals nested-loop order and emission needs no rank buffer.
 	stream bool
 }
 
@@ -119,9 +125,8 @@ func (p joinPlan) info() joinPlanInfo {
 // band, then the smallest remaining relation; all ties break toward the
 // lower FROM index.
 func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPlan {
-	strides, ok := rankStrides(n, lens)
-	if !ok || !shape.Indexable() || n < 2 {
-		return scanPlan(n, strides, condRels)
+	if !shape.Indexable() || n < 2 {
+		return scanPlan(n, condRels)
 	}
 
 	chosen := make([]bool, n)
@@ -151,16 +156,22 @@ func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPl
 		chosen[best.level] = true
 	}
 
-	plan := joinPlan{order: order, strides: strides}
+	plan := joinPlan{order: order, stream: fromOrder(order)}
+	if !plan.stream {
+		strides, ok := rankStrides(n, lens)
+		if !ok {
+			return scanPlan(n, condRels)
+		}
+		plan.strides = strides
+	}
 	assignConds(plan.order, condRels)
-	plan.stream = pureScan(plan.order)
 	return plan
 }
 
 // scanPlan is the seed-equivalent fallback: original level order, scans
 // everywhere, rows streamed in enumeration order.
-func scanPlan(n int, strides []uint64, condRels [][]int) joinPlan {
-	plan := joinPlan{order: make([]levelPlan, n), strides: strides, stream: true}
+func scanPlan(n int, condRels [][]int) joinPlan {
+	plan := joinPlan{order: make([]levelPlan, n), stream: true}
 	for i := range plan.order {
 		plan.order[i] = levelPlan{level: i, path: pathScan}
 	}
@@ -255,9 +266,11 @@ func assignConds(order []levelPlan, condRels [][]int) {
 	}
 }
 
-func pureScan(order []levelPlan) bool {
+// fromOrder reports whether the plan probes the levels in FROM order,
+// whatever their access paths.
+func fromOrder(order []levelPlan) bool {
 	for pos, lp := range order {
-		if lp.path != pathScan || lp.level != pos {
+		if lp.level != pos {
 			return false
 		}
 	}
@@ -301,6 +314,13 @@ func (lp *levelPlan) bandWindow(o float64) (lo, hi float64) {
 type probeEntry struct {
 	v  float64
 	ti int32
+}
+
+// rankedMatch is a reordered plan's recorded match: its nested-loop
+// rank and its position in the combination buffer.
+type rankedMatch struct {
+	rank uint64
+	at   int
 }
 
 // kernelProbe is a built per-position probe structure.
@@ -390,11 +410,11 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 				}
 				entries = append(entries, probeEntry{v: v, ti: int32(ti)})
 			}
-			sort.Slice(entries, func(i, j int) bool {
-				if entries[i].v != entries[j].v {
-					return entries[i].v < entries[j].v
+			slices.SortFunc(entries, func(a, b probeEntry) int {
+				if c := cmp.Compare(a.v, b.v); c != 0 {
+					return c
 				}
-				return entries[i].ti < entries[j].ti
+				return cmp.Compare(a.ti, b.ti)
 			})
 			probes[pos] = kernelProbe{sorted: entries, probeSlot: slotFor(lp.other)}
 		}
@@ -415,31 +435,30 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	}
 
 	var rows []Row
-	contrib := make(map[topology.NodeID]bool)
 	agg := newAggState(x.Query.Select)
 	aggregated := hasAggregates(x.Query.Select)
 	grouped := len(x.Query.GroupBy) > 0
 	groups := make(map[string]*aggState)
 	var groupKeys []string
 	vals := make([]float64, prog.nslots)
+	// marks[level][ti] records that tuple ti of level took part in an
+	// emitted combination; the contributing-node set is folded from the
+	// marks once, after enumeration.
+	marks := make([][]bool, n)
+	for level := range marks {
+		marks[level] = make([]bool, lens[level])
+	}
 
-	// emit runs the seed's per-combination body: fill the slot vector,
-	// evaluate SELECT, record contributors, aggregate or append.
+	// emit runs the seed's per-combination body over the slot vector,
+	// which holds assign's values: evaluate SELECT, mark contributors,
+	// aggregate or append.
 	emit := func(assign []int32) {
-		for level := 0; level < n; level++ {
-			slots := slotsOf[level]
-			flat := pre[level]
-			base := int(assign[level]) * len(slots)
-			for k, s := range slots {
-				vals[s.slot] = flat[base+k]
-			}
-		}
 		row := newRow()
 		for i, f := range selects {
 			row[i] = f(vals)
 		}
-		for level := range byAlias {
-			contrib[byAlias[level][assign[level]].node] = true
+		for level, ti := range assign {
+			marks[level][ti] = true
 		}
 		switch {
 		case grouped:
@@ -458,20 +477,25 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 		}
 	}
 
-	// Enumerate matches. Streaming plans emit inline (enumeration order
-	// is nested-loop order); indexed plans record (combination, rank)
-	// and replay below.
+	// Enumerate matches. Streaming plans emit inline: the slot vector
+	// already holds the combination (each level filled its own disjoint
+	// slots on the way down), and enumeration order is nested-loop
+	// order. Reordered plans record (rank, combination) and replay
+	// below.
 	assign := make([]int32, n)
 	var combos []int32
-	var ranks []uint64
+	var matches []rankedMatch
+	// window[pos] is a band position's per-probe scratch: the window's
+	// tuple indexes, sorted ascending before they are tried.
+	window := make([][]int32, n)
 	var recurse func(pos int, rank uint64)
 	recurse = func(pos int, rank uint64) {
 		if pos == n {
 			if plan.stream {
 				emit(assign)
 			} else {
+				matches = append(matches, rankedMatch{rank: rank, at: len(matches)})
 				combos = append(combos, assign...)
-				ranks = append(ranks, rank)
 			}
 			return
 		}
@@ -491,7 +515,11 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 				}
 			}
 			assign[level] = ti
-			recurse(pos+1, rank+uint64(ti)*plan.strides[level])
+			if plan.stream {
+				recurse(pos+1, 0)
+			} else {
+				recurse(pos+1, rank+uint64(ti)*plan.strides[level])
+			}
 		}
 		switch lp.path {
 		case pathHash:
@@ -502,8 +530,20 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 			lo, hi := lp.bandWindow(vals[probes[pos].probeSlot])
 			s := probes[pos].sorted
 			i := sort.Search(len(s), func(i int) bool { return s[i].v >= lo })
+			if !plan.stream {
+				for ; i < len(s) && s[i].v <= hi; i++ {
+					try(s[i].ti)
+				}
+				break
+			}
+			buf := window[pos][:0]
 			for ; i < len(s) && s[i].v <= hi; i++ {
-				try(s[i].ti)
+				buf = append(buf, s[i].ti)
+			}
+			slices.Sort(buf)
+			window[pos] = buf
+			for _, ti := range buf {
+				try(ti)
 			}
 		default:
 			for ti := 0; ti < lens[level]; ti++ {
@@ -516,13 +556,26 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	if !plan.stream {
 		// Replay in nested-loop order: ranks are distinct, so this order
 		// is total and exactly the seed's emission order.
-		perm := make([]int, len(ranks))
-		for i := range perm {
-			perm[i] = i
+		slices.SortFunc(matches, func(a, b rankedMatch) int { return cmp.Compare(a.rank, b.rank) })
+		for _, m := range matches {
+			c := combos[m.at*n : m.at*n+n]
+			for level, ti := range c {
+				slots := slotsOf[level]
+				base := int(ti) * len(slots)
+				for k, s := range slots {
+					vals[s.slot] = pre[level][base+k]
+				}
+			}
+			emit(c)
 		}
-		sort.Slice(perm, func(i, j int) bool { return ranks[perm[i]] < ranks[perm[j]] })
-		for _, m := range perm {
-			emit(combos[m*n : m*n+n])
+	}
+
+	contrib := make(map[topology.NodeID]bool)
+	for level, ts := range byAlias {
+		for ti, hit := range marks[level] {
+			if hit {
+				contrib[ts[ti].node] = true
+			}
 		}
 	}
 

@@ -381,7 +381,8 @@ func capturePlans(fn func()) []joinPlanInfo {
 
 // The planner must pick the expected access path per shape: hash for
 // equalities, band windows for difference/band conditions, and the
-// streaming scan for residual-only joins.
+// scan for residual-only joins. Every plan here probes in FROM order,
+// so every one streams.
 func TestJoinPlannerAccessPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tuples := kernelTuples(rng, 80, 2)
@@ -390,10 +391,10 @@ func TestJoinPlannerAccessPaths(t *testing.T) {
 		paths    []string
 		streamed bool
 	}{
-		{"A.bucket = B.bucket", []string{"scan", "hash"}, false},
-		{"A.temp - B.temp > 5", []string{"scan", "band"}, false},
-		{"abs(A.temp - B.temp) < 0.5", []string{"scan", "band"}, false},
-		{"A.bucket = B.bucket AND A.temp - B.temp > 1", []string{"scan", "hash"}, false},
+		{"A.bucket = B.bucket", []string{"scan", "hash"}, true},
+		{"A.temp - B.temp > 5", []string{"scan", "band"}, true},
+		{"abs(A.temp - B.temp) < 0.5", []string{"scan", "band"}, true},
+		{"A.bucket = B.bucket AND A.temp - B.temp > 1", []string{"scan", "hash"}, true},
 		{"distance(A.x, A.y, B.x, B.y) > 100", []string{"scan", "scan"}, true},
 		{"(A.temp > B.temp OR A.hum < B.hum)", []string{"scan", "scan"}, true},
 	}
@@ -411,6 +412,89 @@ func TestJoinPlannerAccessPaths(t *testing.T) {
 		if p.Streamed != c.streamed {
 			t.Errorf("%q: streamed=%t, want %t", c.where, p.Streamed, c.streamed)
 		}
+	}
+}
+
+// joinAgainstReference runs the kernel and the nested-loop oracle on the
+// same input and fails on any difference in rows (bit-exact) or
+// contributing nodes. It returns the kernel's single plan.
+func joinAgainstReference(t *testing.T, src string, tuples []finalTuple) joinPlanInfo {
+	t.Helper()
+	x := kernelExec(t, src)
+	var gotRows []Row
+	var gotContrib map[topology.NodeID]bool
+	plans := capturePlans(func() { gotRows, gotContrib = exactJoin(x, tuples) })
+	if len(plans) != 1 {
+		t.Fatalf("%q: %d plans, want 1", src, len(plans))
+	}
+	wantRows, wantContrib := exactJoinReference(x, tuples)
+	if !rowsEqual(gotRows, wantRows) {
+		t.Fatalf("%q: kernel rows (%d) differ from nested loop (%d)", src, len(gotRows), len(wantRows))
+	}
+	if !contribEqual(gotContrib, wantContrib) {
+		t.Fatalf("%q: contrib %d nodes, want %d", src, len(gotContrib), len(wantContrib))
+	}
+	return plans[0]
+}
+
+// A smaller second relation makes the planner start there, so the plan
+// is reordered and must replay its matches in nested-loop rank order.
+func TestJoinPlannerReorderedReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	tuples := kernelTuples(rng, 120, 2)
+	for i := range tuples {
+		tuples[i].flags = zorder.FlagFor(0, 2)
+		if i%4 == 0 {
+			tuples[i].flags |= zorder.FlagFor(1, 2)
+		}
+	}
+	for _, src := range []string{
+		"SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 3 ONCE",
+		"SELECT SUM(A.hum), AVG(B.pres) FROM Sensors A, Sensors B WHERE A.bucket = B.bucket ONCE",
+	} {
+		p := joinAgainstReference(t, src, tuples)
+		if fmt.Sprint(p.Order) != "[1 0]" || p.Streamed {
+			t.Fatalf("%q: plan %+v, want order [1 0], not streamed", src, p)
+		}
+	}
+}
+
+// Many equal band values put ties inside every probe window; the
+// per-probe tuple-index sort must still reproduce the nested loop's
+// emission order, and with it the exact float accumulation of SUM/AVG.
+func TestJoinKernelDuplicateBandValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	tuples := kernelTuples(rng, 150, 2)
+	temp := tuples[0].snap.column("temp", 0)
+	for i, tp := range tuples {
+		temp[tp.node] = float64(rng.Intn(6))
+		tuples[i].flags = zorder.FlagFor(0, 2) | zorder.FlagFor(1, 2)
+	}
+	for _, src := range []string{
+		"SELECT SUM(A.hum), AVG(B.pres), SUM(A.light - B.light) FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1 ONCE",
+		"SELECT A.bucket, SUM(B.hum) FROM Sensors A, Sensors B WHERE abs(A.temp - B.temp) <= 1 GROUP BY A.bucket ONCE",
+		"SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp + B.temp < 5 ONCE",
+	} {
+		p := joinAgainstReference(t, src, tuples)
+		if !p.Streamed || p.Paths[1] != "band" {
+			t.Fatalf("%q: plan %+v, want a streamed band probe", src, p)
+		}
+	}
+}
+
+// A three-way FROM-order chain with a band probe at the middle level
+// and a hash probe below it streams, and matches the nested loop.
+func TestJoinKernelFromOrderChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	tuples := kernelTuples(rng, 40, 3)
+	for i := range tuples {
+		tuples[i].flags = zorder.FlagFor(0, 3) | zorder.FlagFor(1, 3) | zorder.FlagFor(2, 3)
+	}
+	src := "SELECT A.temp, B.hum, SUM(C.pres) FROM Sensors A, Sensors B, Sensors C " +
+		"WHERE abs(A.temp - B.temp) < 4 AND B.bucket = C.bucket GROUP BY A.temp, B.hum ONCE"
+	p := joinAgainstReference(t, src, tuples)
+	if fmt.Sprint(p.Order) != "[0 1 2]" || strings.Join(p.Paths, ",") != "scan,band,hash" || !p.Streamed {
+		t.Fatalf("plan %+v, want FROM order scan,band,hash streamed", p)
 	}
 }
 

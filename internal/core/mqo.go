@@ -518,10 +518,14 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 			}
 		}
 		rounds, _ := runScopedRecovery(x0, p0, unionNeed, have, standDown)
-		for j := range execs {
-			finishReliable(execs[j], plans[j], results[c.members[j].idx],
+		// Only x0 ran the round, so its mid-round repairs are every
+		// member's; the latency is observed once per round.
+		for j, x := range execs {
+			x.repairs, x.repairAt = x0.repairs, x0.repairAt
+			finishReliable(x, plans[j], results[c.members[j].idx],
 				have, missingFrom(needs[j], have), rounds, start)
 		}
+		observeRepair(x0, results[c.members[0].idx])
 	} else {
 		for j := range execs {
 			res := results[c.members[j].idx]

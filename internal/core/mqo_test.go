@@ -257,8 +257,17 @@ func TestQueryGroupAuditClean(t *testing.T) {
 						t.Fatalf("round %d query %d incomplete", round, i)
 					}
 				}
-				if tc.severed && round == 0 && res[0].Repairs == 0 {
-					t.Fatal("severed tree edge did not trigger a mid-round repair")
+				if tc.severed && round == 0 {
+					if res[0].Repairs == 0 {
+						t.Fatal("severed tree edge did not trigger a mid-round repair")
+					}
+					// The members shared one round, so they share its repairs.
+					for i, rr := range res {
+						if rr.Repairs != res[0].Repairs || rr.RepairLatency != res[0].RepairLatency {
+							t.Fatalf("query %d: %d repairs at %g, query 0: %d at %g",
+								i, rr.Repairs, rr.RepairLatency, res[0].Repairs, res[0].RepairLatency)
+						}
+					}
 				}
 			}
 		})

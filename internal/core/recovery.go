@@ -301,8 +301,9 @@ func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 }
 
 // finishReliable recomputes the result from the (possibly recovered)
-// tuple set and fills the completeness fields. start is the execution's
-// begin time; the response time includes recovery.
+// tuple set and fills the completeness and repair fields. start is the
+// execution's begin time; the response time includes recovery. The
+// caller observes the round's repair latency once (observeRepair).
 func finishReliable(x *Exec, p *plan, res *Result,
 	have map[topology.NodeID]finalTuple, missing []topology.NodeID, rounds int, start float64) {
 	ids := make([]topology.NodeID, 0, len(have))
@@ -324,14 +325,18 @@ func finishReliable(x *Exec, p *plan, res *Result,
 	res.Repairs = x.repairs
 	if x.repairs > 0 {
 		res.RepairLatency = x.repairAt - start
-		if x.Metrics != nil {
-			x.Metrics.RepairSeconds.Observe(res.RepairLatency)
-		}
 	}
 	if len(missing) > 0 {
 		annotateIncomplete(x, missing, res)
 	}
 	res.ResponseTime = x.Sim.Now() - start
+}
+
+// observeRepair records a round's mid-round repair latency, if any.
+func observeRepair(x *Exec, res *Result) {
+	if res.Repairs > 0 && x.Metrics != nil {
+		x.Metrics.RepairSeconds.Observe(res.RepairLatency)
+	}
 }
 
 // annotateIncomplete surfaces which subtrees are missing and why on an

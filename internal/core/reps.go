@@ -50,7 +50,7 @@ func (QuadRep) Name() string { return "quadtree" }
 
 // SetBytes implements Rep.
 func (QuadRep) SetBytes(p *plan, keys []zorder.Key) int {
-	return p.codec().Encode(keys).ByteLen()
+	return p.codec().Size(keys)
 }
 
 // PayloadBytes implements Rep.

@@ -312,6 +312,7 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 		have := tupleIndex(gotTuples)
 		rounds, missing := runScopedRecovery(x, p, needed, have, standDown)
 		finishReliable(x, p, result, have, missing, rounds, start)
+		observeRepair(x, result)
 	} else if result != nil && !result.Complete {
 		annotateIncomplete(x, missingFrom(contributorSet(x, p), tupleIndex(gotTuples)), result)
 	}

@@ -89,3 +89,13 @@ func BenchmarkContains(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSize1500 is BenchmarkEncode1500Clustered's key set sized
+// without producing the bitstream.
+func BenchmarkSize1500(b *testing.B) {
+	c, keys, _ := benchSetup(b, 1500, true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Size(keys)
+	}
+}

@@ -78,17 +78,41 @@ func (c *Codec) TotalBits() int { return c.total }
 // Encode produces the canonical wire form of the given keys. The input
 // is not modified; duplicates are removed.
 func (c *Codec) Encode(keys []zorder.Key) Encoded {
-	set := NormalizeKeys(keys)
-	if len(set) == 0 {
+	s := c.start(keys)
+	if s == nil {
 		return Encoded{}
 	}
-	// The decomposition of a sorted key set is fully determined by the
-	// key bits: at level l the subtree starting at index i always covers
-	// the same contiguous range, whatever the enclosing list/split
-	// choices. Costs are therefore memoized per (level, start index),
-	// computed once and reused by every emit decision on the path.
+	defer s.release()
+	s.w.Reset()
+	s.emit(0, len(s.keys), 0)
+	return Encoded{Data: append([]byte(nil), s.w.Bytes()...), Bits: s.w.Len()}
+}
+
+// Size returns Encode(keys).ByteLen() without producing the bitstream:
+// emit writes exactly the root's memoized cost in bits, so the size is
+// that cost rounded up to bytes.
+func (c *Codec) Size(keys []zorder.Key) int {
+	s := c.start(keys)
+	if s == nil {
+		return 0
+	}
+	defer s.release()
+	return (s.cost(0, len(s.keys), 0) + 7) / 8
+}
+
+// start readies a pooled encoding state over the canonical key set, or
+// returns nil for the empty set. The decomposition of a sorted key set
+// is fully determined by the key bits: at level l the subtree starting
+// at index i always covers the same contiguous range, whatever the
+// enclosing list/split choices. Costs are therefore memoized per
+// (level, start index), computed once and reused by every emit decision
+// on the path.
+func (c *Codec) start(keys []zorder.Key) *encodeState {
+	set := sortedSet(keys)
+	if len(set) == 0 {
+		return nil
+	}
 	s := encodePool.Get().(*encodeState)
-	defer encodePool.Put(s)
 	s.c = c
 	s.keys = set
 	depth := len(c.levels) + 1
@@ -100,15 +124,28 @@ func (c *Codec) Encode(keys []zorder.Key) Encoded {
 	for i := range s.memo {
 		s.memo[i] = -1
 	}
-	s.w.Reset()
-	s.emit(0, len(set), 0)
-	e := Encoded{Data: append([]byte(nil), s.w.Bytes()...), Bits: s.w.Len()}
-	s.keys = nil
-	return e
+	return s
 }
 
-// encodeState carries one Encode call's memo and writer; pooled so
-// steady-state encoding does not allocate per call.
+// release returns s to the pool without keeping the caller's keys alive.
+func (s *encodeState) release() {
+	s.keys = nil
+	encodePool.Put(s)
+}
+
+// sortedSet returns keys itself when it is already strictly increasing
+// (as UnionKeys output is), else a sorted, duplicate-free copy.
+func sortedSet(keys []zorder.Key) []zorder.Key {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return NormalizeKeys(keys)
+		}
+	}
+	return keys
+}
+
+// encodeState carries one Encode or Size call's memo and writer; pooled
+// so steady-state encoding does not allocate per call.
 type encodeState struct {
 	c    *Codec
 	keys []zorder.Key

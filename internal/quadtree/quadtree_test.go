@@ -3,6 +3,7 @@ package quadtree
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -339,5 +340,58 @@ func TestKeySetHelpers(t *testing.T) {
 	}
 	if NormalizeKeys(nil) != nil {
 		t.Fatal("NormalizeKeys(nil) should be nil")
+	}
+}
+
+// Size must equal the encoded byte length for every level schedule and
+// input shape: duplicates, sorted or shuffled order, and the empty set.
+func TestSizeMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 300; iter++ {
+		var levels []int
+		total := 0
+		for depth := 1 + rng.Intn(6); len(levels) < depth; {
+			w := 1 + rng.Intn(min(16, 48-total))
+			levels = append(levels, w)
+			if total += w; total >= 47 {
+				break
+			}
+		}
+		c, err := NewCodec(levels)
+		if err != nil {
+			t.Fatalf("levels %v: %v", levels, err)
+		}
+		keyMask := zorder.Key(1)<<uint(total) - 1
+		// Clustered keys share a random prefix, so both point lists and
+		// index nodes occur.
+		keys := make([]zorder.Key, rng.Intn(200))
+		prefix := zorder.Key(rng.Uint64()) & keyMask
+		spread := zorder.Key(1)<<uint(rng.Intn(total)+1) - 1
+		for i := range keys {
+			keys[i] = (prefix ^ zorder.Key(rng.Uint64())&spread) & keyMask
+			if i > 0 && rng.Intn(4) == 0 {
+				keys[i] = keys[rng.Intn(i)] // duplicate
+			}
+		}
+		sorted := NormalizeKeys(keys)
+		for name, in := range map[string][]zorder.Key{"shuffled": keys, "sorted": sorted} {
+			orig := append([]zorder.Key(nil), in...)
+			want := c.Encode(in).ByteLen()
+			if got := c.Size(in); got != want {
+				t.Fatalf("levels %v, %d %s keys: Size %d, Encode %d bytes", levels, len(in), name, got, want)
+			}
+			if !slices.Equal(in, orig) {
+				t.Fatalf("levels %v: %s input modified", levels, name)
+			}
+		}
+		if !reflect.DeepEqual(c.Encode(keys), c.Encode(sorted)) {
+			t.Fatalf("levels %v: sorted and shuffled inputs encode differently", levels)
+		}
+	}
+	c, _ := NewCodec([]int{2, 3})
+	for _, in := range [][]zorder.Key{nil, {}} {
+		if got := c.Size(in); got != 0 || c.Encode(in).ByteLen() != 0 {
+			t.Fatalf("empty set: Size %d", got)
+		}
 	}
 }

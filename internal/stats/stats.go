@@ -13,6 +13,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,90 +38,119 @@ func (c *Counter) Add(packets, bytes int) {
 // retx/ack counters break the reliability overhead out of the totals,
 // they never add to them.
 //
-// All state is per node (Phases derives the label set from the per-node
-// maps on demand). Per-node maps are allocated lazily on first charge:
-// at million-node scale, eager allocation of four maps per node is most
-// of the collector's footprint.
+// Each side (tx, rx, retx, ack) keeps one dense per-node column per
+// phase label, allocated on the label's first charge. Protocols use a
+// handful of labels, so a charge is a short label scan and an indexed
+// add, and Reset zeroes the charged columns in place: a collector reused
+// across executions allocates nothing after warm-up. At million-node
+// scale this costs less than per-node maps, which a node pays for as
+// soon as it is charged once.
 type Collector struct {
 	n    int
-	tx   []map[string]*Counter
-	rx   []map[string]*Counter
-	retx []map[string]*Counter
-	ack  []map[string]*Counter
+	tx   side
+	rx   side
+	retx side
+	ack  side
+}
+
+// side holds one kind of charge: names[i]'s counters are cols[i],
+// indexed by node. charged[i] reports a charge since the last Reset, so
+// a label charged only before it is not reported.
+type side struct {
+	names   []string
+	cols    [][]Counter
+	charged []bool
+}
+
+// column returns phase's per-node counters, marking it charged.
+func (s *side) column(phase string, n int) []Counter {
+	for i, name := range s.names {
+		if name == phase {
+			s.charged[i] = true
+			return s.cols[i]
+		}
+	}
+	s.names = append(s.names, phase)
+	s.cols = append(s.cols, make([]Counter, n))
+	s.charged = append(s.charged, true)
+	return s.cols[len(s.cols)-1]
+}
+
+// each calls fn for every charged column whose label the filter selects.
+func (s *side) each(filter []string, fn func(phase string, col []Counter)) {
+	for i, name := range s.names {
+		if s.charged[i] && match(name, filter) {
+			fn(name, s.cols[i])
+		}
+	}
+}
+
+// sum adds node's counters over the selected phases.
+func (s *side) sum(node topology.NodeID, filter []string) (p, b int64) {
+	for i, name := range s.names {
+		if s.charged[i] && match(name, filter) {
+			p += s.cols[i][node].Packets
+			b += s.cols[i][node].Bytes
+		}
+	}
+	return p, b
+}
+
+func (s *side) reset() {
+	for i, was := range s.charged {
+		if was {
+			clear(s.cols[i])
+			s.charged[i] = false
+		}
+	}
 }
 
 // NewCollector returns a collector for n nodes.
 func NewCollector(n int) *Collector {
-	return &Collector{
-		n:    n,
-		tx:   make([]map[string]*Counter, n),
-		rx:   make([]map[string]*Counter, n),
-		retx: make([]map[string]*Counter, n),
-		ack:  make([]map[string]*Counter, n),
-	}
+	return &Collector{n: n}
 }
 
 // OnTx records a transmission by node.
 func (c *Collector) OnTx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.tx, node, phase).Add(packets, bytes)
+	c.tx.column(phase, c.n)[node].Add(packets, bytes)
 }
 
 // OnRx records a reception at node.
 func (c *Collector) OnRx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.rx, node, phase).Add(packets, bytes)
+	c.rx.column(phase, c.n)[node].Add(packets, bytes)
 }
 
 // OnRetx records a reliable-transport retransmission by node (also
 // charged through OnTx).
 func (c *Collector) OnRetx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.retx, node, phase).Add(packets, bytes)
+	c.retx.column(phase, c.n)[node].Add(packets, bytes)
 }
 
 // OnAck records a link-layer acknowledgement transmitted by node (also
 // charged through OnTx).
 func (c *Collector) OnAck(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.ack, node, phase).Add(packets, bytes)
-}
-
-func (c *Collector) counter(side []map[string]*Counter, node topology.NodeID, phase string) *Counter {
-	m := side[node]
-	if m == nil {
-		m = make(map[string]*Counter, 4)
-		side[node] = m
-	}
-	ctr := m[phase]
-	if ctr == nil {
-		ctr = &Counter{}
-		m[phase] = ctr
-	}
-	return ctr
+	c.ack.column(phase, c.n)[node].Add(packets, bytes)
 }
 
 // Reset clears all counters.
 func (c *Collector) Reset() {
-	for i := range c.tx {
-		c.tx[i] = nil
-		c.rx[i] = nil
-		c.retx[i] = nil
-		c.ack[i] = nil
+	for _, s := range c.sides() {
+		s.reset()
 	}
 }
 
-// Phases returns the phase labels seen, sorted. The set is the union
-// over every node's per-side maps; every charge creates its phase entry,
-// so nothing is missed.
+func (c *Collector) sides() [4]*side { return [4]*side{&c.tx, &c.rx, &c.retx, &c.ack} }
+
+// Phases returns the phase labels charged since the last Reset on any
+// side, sorted.
 func (c *Collector) Phases() []string {
-	seen := make(map[string]struct{}, 8)
-	for _, side := range [][]map[string]*Counter{c.tx, c.rx, c.retx, c.ack} {
-		for _, m := range side {
-			for p := range m {
-				seen[p] = struct{}{}
+	out := make([]string, 0, 8)
+	for _, s := range c.sides() {
+		s.each(nil, func(phase string, _ []Counter) {
+			if !slices.Contains(out, phase) {
+				out = append(out, phase)
 			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
+		})
 	}
 	sort.Strings(out)
 	return out
@@ -146,70 +176,51 @@ func match(phase string, filter []string) bool {
 // NodeTx returns the transmitted (packets, bytes) of node over the given
 // phases (all phases when none given).
 func (c *Collector) NodeTx(node topology.NodeID, phases ...string) (int64, int64) {
-	var p, b int64
-	for ph, ctr := range c.tx[node] {
-		if match(ph, phases) {
-			p += ctr.Packets
-			b += ctr.Bytes
-		}
-	}
-	return p, b
+	return c.tx.sum(node, phases)
 }
 
 // NodeRx returns the received (packets, bytes) of node over the given
 // phases.
 func (c *Collector) NodeRx(node topology.NodeID, phases ...string) (int64, int64) {
-	var p, b int64
-	for ph, ctr := range c.rx[node] {
-		if match(ph, phases) {
-			p += ctr.Packets
-			b += ctr.Bytes
-		}
-	}
-	return p, b
+	return c.rx.sum(node, phases)
 }
 
 // TotalRetx sums retransmitted packets over all nodes for the given
 // phases — the reliability overhead already contained in TotalTx.
 func (c *Collector) TotalRetx(phases ...string) int64 {
-	return c.totalSide(c.retx, phases)
+	return c.retx.total(phases)
 }
 
 // TotalAck sums acknowledgement packets over all nodes for the given
 // phases — like TotalRetx, a breakdown of TotalTx, not an addition.
 func (c *Collector) TotalAck(phases ...string) int64 {
-	return c.totalSide(c.ack, phases)
+	return c.ack.total(phases)
 }
 
-func (c *Collector) totalSide(side []map[string]*Counter, phases []string) int64 {
+// total sums packets over all nodes for the selected phases.
+func (s *side) total(filter []string) int64 {
 	var p int64
-	for i := 0; i < c.n; i++ {
-		for ph, ctr := range side[i] {
-			if match(ph, phases) {
-				p += ctr.Packets
-			}
+	s.each(filter, func(_ string, col []Counter) {
+		for _, ctr := range col {
+			p += ctr.Packets
 		}
-	}
+	})
 	return p
 }
 
 // TotalTx sums transmitted packets over all nodes for the given phases.
 func (c *Collector) TotalTx(phases ...string) int64 {
-	var p int64
-	for i := 0; i < c.n; i++ {
-		pp, _ := c.NodeTx(topology.NodeID(i), phases...)
-		p += pp
-	}
-	return p
+	return c.tx.total(phases)
 }
 
 // TotalTxBytes sums transmitted bytes over all nodes for the given phases.
 func (c *Collector) TotalTxBytes(phases ...string) int64 {
 	var b int64
-	for i := 0; i < c.n; i++ {
-		_, bb := c.NodeTx(topology.NodeID(i), phases...)
-		b += bb
-	}
+	c.tx.each(phases, func(_ string, col []Counter) {
+		for _, ctr := range col {
+			b += ctr.Bytes
+		}
+	})
 	return b
 }
 
@@ -256,30 +267,25 @@ func (c *Collector) TopK(k int, phases ...string) []int64 {
 // against the execution's trace journal, bit-exact.
 type Snapshot struct {
 	n      int
-	tx, rx []map[string]Counter
+	tx, rx map[string][]Counter
 	phases []string
 }
 
 // Snapshot deep-copies the current counters.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{
+	return Snapshot{
 		n:      c.n,
-		tx:     make([]map[string]Counter, c.n),
-		rx:     make([]map[string]Counter, c.n),
+		tx:     c.tx.copyColumns(),
+		rx:     c.rx.copyColumns(),
 		phases: c.Phases(),
 	}
-	for i := 0; i < c.n; i++ {
-		s.tx[i] = copyCounters(c.tx[i])
-		s.rx[i] = copyCounters(c.rx[i])
-	}
-	return s
 }
 
-func copyCounters(m map[string]*Counter) map[string]Counter {
-	out := make(map[string]Counter, len(m))
-	for ph, ctr := range m {
-		out[ph] = *ctr
-	}
+func (s *side) copyColumns() map[string][]Counter {
+	out := make(map[string][]Counter, len(s.names))
+	s.each(nil, func(phase string, col []Counter) {
+		out[phase] = slices.Clone(col)
+	})
 	return out
 }
 
@@ -290,10 +296,18 @@ func (s Snapshot) N() int { return s.n }
 func (s Snapshot) Phases() []string { return s.phases }
 
 // Tx returns node's transmitted counter for one phase.
-func (s Snapshot) Tx(node topology.NodeID, phase string) Counter { return s.tx[node][phase] }
+func (s Snapshot) Tx(node topology.NodeID, phase string) Counter { return at(s.tx[phase], node) }
 
 // Rx returns node's received counter for one phase.
-func (s Snapshot) Rx(node topology.NodeID, phase string) Counter { return s.rx[node][phase] }
+func (s Snapshot) Rx(node topology.NodeID, phase string) Counter { return at(s.rx[phase], node) }
+
+// at reads one node of a column; an uncharged phase has no column.
+func at(col []Counter, node topology.NodeID) Counter {
+	if col == nil {
+		return Counter{}
+	}
+	return col[node]
+}
 
 // EnergyModel converts packet/byte counts to Joules with a linear model.
 type EnergyModel struct {

@@ -2,8 +2,12 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"sensjoin/internal/topology"
 )
 
 func TestCountersAndFilters(t *testing.T) {
@@ -72,6 +76,93 @@ func TestReset(t *testing.T) {
 	c.Reset()
 	if c.TotalTx() != 0 || len(c.Phases()) != 0 {
 		t.Fatal("Reset did not clear counters")
+	}
+}
+
+// A collector reused through Reset must answer exactly like a fresh one
+// over the same charges, including for labels charged only before the
+// Reset and for zero-sized charges.
+func TestResetMatchesFresh(t *testing.T) {
+	const n = 9
+	labels := []string{"collect", "filter", "final", "beacon", "ack-only"}
+	charge := func(c *Collector, rng *rand.Rand, phases []string) {
+		for i := 0; i < 60; i++ {
+			node := topology.NodeID(rng.Intn(n))
+			ph := phases[rng.Intn(len(phases))]
+			p, b := rng.Intn(3), rng.Intn(200)
+			switch rng.Intn(4) {
+			case 0:
+				c.OnRx(node, ph, p, b)
+			case 1:
+				c.OnRetx(node, ph, p, b)
+				c.OnTx(node, ph, p, b)
+			case 2:
+				c.OnAck(node, ph, p, b)
+				c.OnTx(node, ph, p, b)
+			default:
+				c.OnTx(node, ph, p, b)
+			}
+		}
+	}
+	reused := NewCollector(n)
+	charge(reused, rand.New(rand.NewSource(1)), labels)
+	reused.Reset()
+	charge(reused, rand.New(rand.NewSource(2)), labels[1:3])
+	fresh := NewCollector(n)
+	charge(fresh, rand.New(rand.NewSource(2)), labels[1:3])
+
+	if got, want := reused.Phases(), fresh.Phases(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Phases = %v, want %v", got, want)
+	}
+	for _, filter := range [][]string{nil, {"filter"}, {"collect"}, {"final", "beacon"}} {
+		if got, want := reused.TotalTx(filter...), fresh.TotalTx(filter...); got != want {
+			t.Fatalf("TotalTx(%v) = %d, want %d", filter, got, want)
+		}
+		if got, want := reused.TotalTxBytes(filter...), fresh.TotalTxBytes(filter...); got != want {
+			t.Fatalf("TotalTxBytes(%v) = %d, want %d", filter, got, want)
+		}
+		if got, want := reused.TotalRetx(filter...), fresh.TotalRetx(filter...); got != want {
+			t.Fatalf("TotalRetx(%v) = %d, want %d", filter, got, want)
+		}
+		if got, want := reused.TotalAck(filter...), fresh.TotalAck(filter...); got != want {
+			t.Fatalf("TotalAck(%v) = %d, want %d", filter, got, want)
+		}
+		gn, gl := reused.MaxTx(filter...)
+		wn, wl := fresh.MaxTx(filter...)
+		if gn != wn || gl != wl {
+			t.Fatalf("MaxTx(%v) = %d/%d, want %d/%d", filter, gn, gl, wn, wl)
+		}
+		if got, want := reused.PerNodeTx(filter...), fresh.PerNodeTx(filter...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("PerNodeTx(%v) = %v, want %v", filter, got, want)
+		}
+		for node := topology.NodeID(0); node < n; node++ {
+			gp, gb := reused.NodeRx(node, filter...)
+			wp, wb := fresh.NodeRx(node, filter...)
+			if gp != wp || gb != wb {
+				t.Fatalf("NodeRx(%d, %v) = %d/%d, want %d/%d", node, filter, gp, gb, wp, wb)
+			}
+		}
+	}
+	rs, fs := reused.Snapshot(), fresh.Snapshot()
+	if !reflect.DeepEqual(rs.Phases(), fs.Phases()) {
+		t.Fatalf("Snapshot phases = %v, want %v", rs.Phases(), fs.Phases())
+	}
+	for _, ph := range labels {
+		for node := topology.NodeID(0); node < n; node++ {
+			if rs.Tx(node, ph) != fs.Tx(node, ph) || rs.Rx(node, ph) != fs.Rx(node, ph) {
+				t.Fatalf("snapshot of node %d phase %s differs", node, ph)
+			}
+		}
+	}
+}
+
+// Once its phase column exists, a charge allocates nothing.
+func TestOnTxAllocs(t *testing.T) {
+	c := NewCollector(16)
+	c.OnTx(3, "collect", 1, 10)
+	c.Reset()
+	if a := testing.AllocsPerRun(100, func() { c.OnTx(5, "collect", 1, 10) }); a != 0 {
+		t.Fatalf("warmed OnTx: %v allocs, want 0", a)
 	}
 }
 

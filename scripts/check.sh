@@ -11,13 +11,17 @@ test -z "$(gofmt -l .)"
 go build ./...
 go test ./...
 go test -race ./...
-# Smoke the join-kernel and plan-build benchmarks: one iteration proves
-# the indexed and reference paths still run on both band and equi
-# shapes, and plan building runs cold and memoized.
-go test -run=NONE -bench='ExactJoin|BuildPlan' -benchtime=1x ./internal/core
+# Smoke the join-kernel, plan-build and paper-batch benchmarks: one
+# iteration proves the indexed and reference paths still run on both
+# band and equi shapes, plan building runs cold and memoized, and the
+# paper's 1500-node batch runs through RunPrepared.
+go test -run=NONE -bench='ExactJoin|BuildPlan|PaperBatch' -benchtime=1x ./internal/core
 # Fuzz the one entry point every query takes: Prepare must never panic,
 # and an accepted query's rendering must prepare to the same fingerprint.
 go test -run=NONE -fuzz=FuzzPrepare -fuzztime=20s ./internal/core
+# Fuzz the daemon's frame decoder: Decode must never panic on untrusted
+# payloads, and accepted values must round-trip through a frame.
+go test -run=NONE -fuzz=FuzzDecode -fuzztime=20s ./internal/proto
 # Snapshot race pass: pooled runners sharing one readings snapshot and
 # its memoized plans, and the byte-bounded cache under distinct t.
 go test -race -run 'Snapshot|PlanMemo|Prepared' ./internal/core ./internal/server
